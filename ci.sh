@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # CI entry point: a lint stage (dm_lint + -Werror build), plain build +
-# tests, an ASan/UBSan build + tests, an observability-artifact stage
+# tests, a Debug (asserts-on) build + tests, an ASan/UBSan build + tests,
+# an observability-artifact stage
 # (flight dumps, span traces, profiler + micro-substrate JSON, with
 # parse + determinism gates), a cluster-scale stage (the 128-node
 # multi-tenant soak run twice same-seed in separate processes with a
@@ -9,8 +10,9 @@
 # storage-tiers ablation gate), then a gcov-instrumented build gating
 # line coverage of the swap + compression + cxl layers.
 #
-# Usage: ./ci.sh [--lint-only|--plain-only|--sanitize-only|--obs-only|
-#                 --scale-only|--ec-only|--cxl-only|--coverage-only]
+# Usage: ./ci.sh [--lint-only|--plain-only|--debug-only|--sanitize-only|
+#                 --obs-only|--scale-only|--ec-only|--cxl-only|
+#                 --coverage-only]
 #
 # The lint pass builds the tree with -DDM_WERROR=ON (so -Wall -Wextra
 # -Wshadow are hard errors in CI), runs tools/dm_lint over the source tree
@@ -19,6 +21,9 @@
 # DESIGN.md), archives LINT_REPORT.json + METRIC_REGISTRY.json with a
 # byte-stability diff, and runs the fixture suite proving every rule still
 # fires.
+# The Debug pass runs the whole suite with NDEBUG undefined, so every
+# assert() contract is checked (the coverage leg is Debug too, but runs only
+# the swap/compress/cxl suites; every other leg compiles asserts out).
 # The sanitizer pass uses the DM_SANITIZE cache option defined in the root
 # CMakeLists.txt (compiles the whole tree with -fsanitize=address,undefined).
 # The coverage pass uses DM_COVERAGE and fails CI if line coverage of the
@@ -351,6 +356,11 @@ fi
 if [[ "$mode" == "all" || "$mode" == "--plain-only" ]]; then
   echo "==> plain build + tests"
   run_suite build
+fi
+
+if [[ "$mode" == "all" || "$mode" == "--debug-only" ]]; then
+  echo "==> debug build + tests (asserts on)"
+  run_suite build-debug -DCMAKE_BUILD_TYPE=Debug
 fi
 
 if [[ "$mode" == "all" || "$mode" == "--sanitize-only" ]]; then

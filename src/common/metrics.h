@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <string_view>
@@ -16,27 +17,28 @@ namespace dm {
 
 class MetricsRegistry {
  public:
-  // Returns the counter by name, creating it at zero on first use.
+  // Returns the counter by name, creating it at zero on first use. Lookups
+  // take the name as a view; only a first insert builds a std::string.
   std::uint64_t& counter(std::string_view name) {
-    return counters_[std::string(name)];
+    return find_or_insert(counters_, name);
   }
   std::uint64_t counter_value(std::string_view name) const {
-    auto it = counters_.find(std::string(name));
+    auto it = counters_.find(name);
     return it == counters_.end() ? 0 : it->second;
   }
 
   Histogram& histogram(std::string_view name) {
-    return histograms_[std::string(name)];
+    return find_or_insert(histograms_, name);
   }
   const Histogram* find_histogram(std::string_view name) const {
-    auto it = histograms_.find(std::string(name));
+    auto it = histograms_.find(name);
     return it == histograms_.end() ? nullptr : &it->second;
   }
 
-  const std::map<std::string, std::uint64_t>& counters() const {
+  const std::map<std::string, std::uint64_t, std::less<>>& counters() const {
     return counters_;
   }
-  const std::map<std::string, Histogram>& histograms() const {
+  const std::map<std::string, Histogram, std::less<>>& histograms() const {
     return histograms_;
   }
 
@@ -51,8 +53,18 @@ class MetricsRegistry {
   std::string to_string() const;
 
  private:
-  std::map<std::string, std::uint64_t> counters_;
-  std::map<std::string, Histogram> histograms_;
+  template <typename Map>
+  static typename Map::mapped_type& find_or_insert(Map& map,
+                                                   std::string_view name) {
+    auto it = map.lower_bound(name);
+    if (it == map.end() || it->first != name)
+      it = map.emplace_hint(it, std::string(name),
+                            typename Map::mapped_type{});
+    return it->second;
+  }
+
+  std::map<std::string, std::uint64_t, std::less<>> counters_;
+  std::map<std::string, Histogram, std::less<>> histograms_;
 };
 
 }  // namespace dm

@@ -899,8 +899,13 @@ void NodeService::migrate_entry(cluster::ServerId server, mem::EntryId entry,
                 auto current = live_owner != nullptr
                                    ? live_owner->map().lookup(entry)
                                    : NotFoundError("owner gone");
+                // Re-check: the entry may have been removed, relocated or
+                // repaired while the copy was in flight. Committing `base`
+                // over a changed replica set would drop the current blocks
+                // and free one of them while live.
                 if (!current.ok() ||
-                    current->tier != mem::Tier::kRemote) {
+                    current->tier != mem::Tier::kRemote ||
+                    current->replicas != base.replicas) {
                   rdmc_.free_replicas(*std::move(fresh));
                   ++metrics_.counter("ldms.migrate_stale");
                   return;
@@ -950,13 +955,15 @@ void NodeService::migrate_entry(cluster::ServerId server, mem::EntryId entry,
                 return;
               }
               Ldmc* live_owner = client(server);
-              // Re-check: the entry may have been removed or relocated
-              // while the migration was in flight (same rule as the
-              // repair path) — never resurrect it.
+              // Re-check: the entry may have been removed, relocated or
+              // repaired while the migration was in flight — never
+              // resurrect it, and never commit over a replica set other
+              // than the one that was copied.
               auto current = live_owner != nullptr
                                  ? live_owner->map().lookup(entry)
                                  : NotFoundError("owner gone");
-              if (!current.ok() || current->tier != mem::Tier::kRemote) {
+              if (!current.ok() || current->tier != mem::Tier::kRemote ||
+                  current->replicas != base.replicas) {
                 rdmc_.free_replicas(*std::move(fresh));
                 ++metrics_.counter("ldms.migrate_stale");
                 return;

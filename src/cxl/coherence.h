@@ -51,6 +51,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/byte_arena.h"
 #include "common/lru.h"
 #include "common/metrics.h"
 #include "common/status.h"
@@ -137,7 +138,7 @@ class CxlDirectory {
 
   net::Fabric& fabric_;
   Config config_;
-  std::vector<std::byte> backing_;
+  ByteArena backing_;
   net::RKey rkey_ = net::kInvalidRKey;
   std::map<LineId, LineMeta> lines_;
   std::map<net::NodeId, CxlAgent*> agents_;

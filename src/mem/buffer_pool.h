@@ -20,6 +20,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/byte_arena.h"
 #include "common/metrics.h"
 #include "common/status.h"
 #include "net/fabric.h"
@@ -87,7 +88,7 @@ class RegisteredBufferPool {
   net::Fabric& fabric_;
   net::NodeId owner_;
   Config config_;
-  std::vector<std::byte> arena_;
+  ByteArena arena_;
   std::vector<Slab> slabs_;
   std::vector<SlabId> free_slabs_;
   std::vector<std::vector<SlabId>> partials_;  // per size class
@@ -117,7 +118,7 @@ class SendStagingPool {
   void reset() noexcept { cursor_ = 0; }
 
  private:
-  std::vector<std::byte> arena_;
+  ByteArena arena_;
   std::uint64_t cursor_ = 0;
 };
 

@@ -17,6 +17,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/byte_arena.h"
 #include "common/lru.h"
 #include "common/metrics.h"
 #include "common/status.h"
@@ -93,7 +94,7 @@ class SharedMemoryPool {
     return (static_cast<Key>(owner) << 48) | (id & 0xffffffffffffULL);
   }
 
-  std::vector<std::byte> arena_;
+  ByteArena arena_;
   SlabAllocator allocator_;
   Config config_;
   std::unordered_map<ServerId, std::uint64_t> donations_;

@@ -372,11 +372,12 @@ Status QueuePair::post_write(RKey rkey, std::uint64_t offset,
     });
   });
   ++fabric_.metrics().counter("fabric.writes");
-  fabric_.trace("fabric.write",
-                "node" + std::to_string(local_) + " -> node" +
-                    std::to_string(remote_) + ", " +
-                    std::to_string(data.size()) + "B " +
-                    format_trace_id(trace));
+  if (fabric_.tracer() != nullptr)
+    fabric_.trace("fabric.write",
+                  "node" + std::to_string(local_) + " -> node" +
+                      std::to_string(remote_) + ", " +
+                      std::to_string(data.size()) + "B " +
+                      format_trace_id(trace));
   return Status::Ok();
 }
 
@@ -451,11 +452,12 @@ Status QueuePair::post_read(RKey rkey, std::uint64_t offset,
     });
   });
   ++fabric_.metrics().counter("fabric.reads");
-  fabric_.trace("fabric.read",
-                "node" + std::to_string(local_) + " <- node" +
-                    std::to_string(remote_) + ", " +
-                    std::to_string(dest.size()) + "B " +
-                    format_trace_id(trace));
+  if (fabric_.tracer() != nullptr)
+    fabric_.trace("fabric.read",
+                  "node" + std::to_string(local_) + " <- node" +
+                      std::to_string(remote_) + ", " +
+                      std::to_string(dest.size()) + "B " +
+                      format_trace_id(trace));
   return Status::Ok();
 }
 
@@ -495,10 +497,11 @@ Status QueuePair::post_send(std::span<const std::byte> message,
       // sender's ack still completes (it cannot tell), so the layer above
       // only notices via its own timeout.
       ++fabric.metrics().counter("fabric.msgs_dropped");
-      fabric.trace("fabric.drop", "node" + std::to_string(from) +
-                                      " -> node" + std::to_string(remote) +
-                                      ", " + std::to_string(nbytes) +
-                                      "B lost");
+      if (fabric.tracer() != nullptr)
+        fabric.trace("fabric.drop", "node" + std::to_string(from) +
+                                        " -> node" + std::to_string(remote) +
+                                        ", " + std::to_string(nbytes) +
+                                        "B lost");
       const SimTime acked =
           deliver + fabric.config().latency.link_propagation_ns;
       fabric.sim_.schedule_at(acked, [done = std::move(done), acked,

@@ -14,6 +14,7 @@
 #include <span>
 #include <vector>
 
+#include "common/byte_arena.h"
 #include "common/metrics.h"
 #include "common/status.h"
 #include "common/units.h"
@@ -58,7 +59,7 @@ class BlockDevice {
   sim::Simulator& sim_;
   Config config_;
   MetricsRegistry metrics_;
-  std::vector<std::byte> store_;
+  ByteArena store_;
   SimTime next_free_ = 0;
   std::uint64_t head_pos_ = 0;  // byte offset just past the last I/O
 };

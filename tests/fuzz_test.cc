@@ -217,7 +217,9 @@ TEST(SystemPropertyFuzz, LiveKeysReadableAndReplicasBounded) {
   // of 1 every remote entry keeps at least one live copy.
   Rng flap_rng(9001);
   bool node2_up = true;
-  system.failures().poisson(flap_rng, 0, 400 * kMilli, 40 * kMilli, [&]() {
+  const SimTime flap_start = system.simulator().now();
+  system.failures().poisson(flap_rng, flap_start, flap_start + 400 * kMilli,
+                            40 * kMilli, [&]() {
     node2_up = !node2_up;
     if (node2_up)
       system.recover_node(2);
@@ -309,7 +311,9 @@ TEST(SystemPropertyFuzz, EcStripesBoundedAndKeysReadable) {
   // least k live shards and remains readable throughout.
   Rng flap_rng(31337);
   bool node2_up = true;
-  system.failures().poisson(flap_rng, 0, 400 * kMilli, 40 * kMilli, [&]() {
+  const SimTime flap_start = system.simulator().now();
+  system.failures().poisson(flap_rng, flap_start, flap_start + 400 * kMilli,
+                            40 * kMilli, [&]() {
     node2_up = !node2_up;
     if (node2_up)
       system.recover_node(2);

@@ -207,6 +207,23 @@ TEST(LintEdgeCaseTest, DegenerateInputsDoNotCrashOrMisfire) {
   EXPECT_TRUE(tree.lint().empty()) << to_text(tree.lint());
 }
 
+// status-discard: a std::-qualified call is the standard library's even
+// when a repo function returning Status shares its name, while the repo's
+// own method of that name is still checked.
+TEST(LintEdgeCaseTest, StdQualifiedCallIsNotARepoStatusCall) {
+  TempTree tree("std_call");
+  tree.write("src/mem/pool.cc",
+             "Status free(const Ref& ref);\n"
+             "void release(std::byte* p, Pool& pool, const Ref& ref) {\n"
+             "  std::free(p);\n"
+             "  pool.free(ref);\n"
+             "}\n");
+  const auto diags = of_rule(tree.lint(), kRuleStatusDiscard);
+  ASSERT_EQ(diags.size(), 1u) << to_text(diags);
+  EXPECT_EQ(diags[0].file, "src/mem/pool.cc");
+  EXPECT_EQ(diags[0].line, 4);
+}
+
 // Contract mutation: a complete RPC method (label + handle + call) passes;
 // deleting the dispatch leg from a copy of the tree is caught.
 TEST(LintMutationTest, DeletedRpcDispatchBranchIsCaught) {

@@ -650,5 +650,75 @@ TEST(RecoveryTest, ShardRepairRacingRemovalDoesNotResurrect) {
   EXPECT_EQ(hosted, 0u);
 }
 
+// --- migration racing a relocation of the same entry ------------------------
+
+// True if `replica` names a block that is currently allocated in its host's
+// receive pool.
+bool block_is_live(DmSystem& system, const mem::RemoteReplica& replica) {
+  auto& pool = system.node(node_index(system, replica.node)).recv_pool();
+  for (const mem::BlockRef& block : pool.blocks_in_slab(replica.slab))
+    if (block.rkey == replica.rkey && block.offset == replica.offset)
+      return true;
+  return false;
+}
+
+// Two live migrations of one entry run at once, each moving a different
+// copy: the first to commit relocates the entry, so the second's copy is
+// stale. The second must not commit over the moved entry: its committed
+// location would name the block the first one freed.
+void run_concurrent_migrations(DmSystem& system, Ldmc& client,
+                               mem::EntryId entry,
+                               const std::vector<std::byte>& data) {
+  auto before = client.map().lookup(entry);
+  ASSERT_TRUE(before.ok());
+  ASSERT_GE(before->replicas.size(), 2u);
+  const net::NodeId first = before->replicas[0].node;
+  const net::NodeId second = before->replicas[1].node;
+
+  std::size_t accepted = 0;
+  int offloads_done = 0;
+  for (net::NodeId hot : {first, second}) {
+    system.service(node_index(system, hot))
+        .offload_hot_node(1, [&](std::size_t n) {
+          accepted += n;
+          ++offloads_done;
+        });
+  }
+  while (offloads_done < 2) ASSERT_TRUE(system.simulator().step());
+  ASSERT_EQ(accepted, 2u);
+  system.run_for(kSecond);
+
+  auto& owner_metrics = system.service(0).metrics();
+  EXPECT_EQ(owner_metrics.counter_value("ldms.migrated_entries"), 1u);
+  EXPECT_EQ(owner_metrics.counter_value("ldms.migrate_stale"), 1u);
+  auto after = client.map().lookup(entry);
+  ASSERT_TRUE(after.ok());
+  ASSERT_EQ(after->replicas.size(), before->replicas.size());
+  for (const auto& replica : after->replicas)
+    EXPECT_TRUE(block_is_live(system, replica))
+        << "committed block on node " << replica.node << " was freed";
+  std::vector<std::byte> out(data.size());
+  ASSERT_TRUE(client.get_sync(entry, out).ok());
+  EXPECT_EQ(out, data);
+}
+
+TEST(RecoveryTest, MigrationRacingRelocationNeverCommitsStaleReplicas) {
+  DmSystem system(cluster_config(6, 2));
+  system.start();
+  auto& client = system.create_server(0, 64 * MiB, remote_only());
+  const auto data = page_data(41);
+  ASSERT_TRUE(client.put_sync(41, data).ok());
+  run_concurrent_migrations(system, client, 41, data);
+}
+
+TEST(RecoveryTest, ShardMigrationRacingRelocationNeverCommitsStaleShards) {
+  DmSystem system(ec_cluster_config(7, 2, 1, /*min_shards=*/2));
+  system.start();
+  auto& client = system.create_server(0, 64 * MiB, remote_only());
+  const auto data = page_data(42);
+  ASSERT_TRUE(client.put_sync(42, data).ok());
+  run_concurrent_migrations(system, client, 42, data);
+}
+
 }  // namespace
 }  // namespace dm::core

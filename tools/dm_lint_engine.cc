@@ -557,16 +557,23 @@ std::string final_call_name(const std::string& s) {
     return false;
   };
   std::string last;
+  std::string root;  // first segment of the (possibly qualified) name
+  bool qualified = false;
   for (;;) {
     std::string ident = read_ident();
     if (ident.empty()) return "";
+    if (!qualified) root = ident;
     skip_ws();
     if (i + 1 < s.size() && s[i] == ':' && s[i + 1] == ':') {
       i += 2;
+      qualified = true;
       continue;  // qualified name, keep reading
     }
+    qualified = false;
     if (i < s.size() && s[i] == '(') {
-      last = ident;
+      // A std::-qualified call is the standard library's, never one of the
+      // repo's Status-returning functions that happens to share its name.
+      last = root == "std" ? "" : ident;
       if (!skip_parens()) return "";
       skip_ws();
       if (i >= s.size()) return last;  // statement ends at the call

@@ -111,7 +111,8 @@ bool path_to_exit_avoids(const Cfg& cfg, int from, std::string_view token);
 int node_at_line(const Cfg& cfg, int line);
 
 // If `s` is exactly a call chain (`a.b(...).c(...)`, `foo(...)`,
-// `ns::foo(...)`) returns the name of the final call, else "".
+// `ns::foo(...)`) returns the name of the final call, else "". A final call
+// qualified with `std::` yields "" (it is not a repo function).
 std::string final_call_name(const std::string& s);
 
 }  // namespace dm::lint
