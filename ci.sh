@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # CI entry point: a lint stage (dm_lint + -Werror build), plain build +
-# tests, a Debug (asserts-on) build + tests, an ASan/UBSan build + tests,
+# tests, a Debug (asserts-on) build + tests, a Release -Werror build +
+# tests, an ASan/UBSan build + tests,
 # an observability-artifact stage
 # (flight dumps, span traces, profiler + micro-substrate JSON, with
 # parse + determinism gates), a cluster-scale stage (the 128-node
@@ -10,9 +11,9 @@
 # storage-tiers ablation gate), then a gcov-instrumented build gating
 # line coverage of the swap + compression + cxl layers.
 #
-# Usage: ./ci.sh [--lint-only|--plain-only|--debug-only|--sanitize-only|
-#                 --obs-only|--scale-only|--ec-only|--cxl-only|
-#                 --coverage-only]
+# Usage: ./ci.sh [--lint-only|--plain-only|--debug-only|--release-only|
+#                 --sanitize-only|--obs-only|--scale-only|--ec-only|
+#                 --cxl-only|--coverage-only]
 #
 # The lint pass builds the tree with -DDM_WERROR=ON (so -Wall -Wextra
 # -Wshadow are hard errors in CI), runs tools/dm_lint over the source tree
@@ -24,6 +25,9 @@
 # The Debug pass runs the whole suite with NDEBUG undefined, so every
 # assert() contract is checked (the coverage leg is Debug too, but runs only
 # the swap/compress/cxl suites; every other leg compiles asserts out).
+# The Release pass builds with -O3 and -DDM_WERROR=ON: GCC's optimizer-driven
+# warnings (-Wrestrict and friends) only fire at that level, so this is the
+# build that proves the tree warning-free the way it ships.
 # The sanitizer pass uses the DM_SANITIZE cache option defined in the root
 # CMakeLists.txt (compiles the whole tree with -fsanitize=address,undefined).
 # The coverage pass uses DM_COVERAGE and fails CI if line coverage of the
@@ -361,6 +365,11 @@ fi
 if [[ "$mode" == "all" || "$mode" == "--debug-only" ]]; then
   echo "==> debug build + tests (asserts on)"
   run_suite build-debug -DCMAKE_BUILD_TYPE=Debug
+fi
+
+if [[ "$mode" == "all" || "$mode" == "--release-only" ]]; then
+  echo "==> release build (-Werror) + tests"
+  run_suite build-release -DCMAKE_BUILD_TYPE=Release -DDM_WERROR=ON
 fi
 
 if [[ "$mode" == "all" || "$mode" == "--sanitize-only" ]]; then

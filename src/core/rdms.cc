@@ -76,7 +76,7 @@ StatusOr<std::vector<std::byte>> Rdms::handle_read(net::NodeId from,
   if (size > it->second.ref.size)
     return InvalidArgumentError("read larger than block");
   auto bytes = node_.recv_pool().block_bytes(it->second.ref).first(size);
-  net::WireWriter w;
+  net::WireWriter w(sizeof(std::uint32_t) + bytes.size());
   w.put_bytes(bytes);
   return std::move(w).take();
 }

@@ -288,7 +288,8 @@ Status Fabric::cxl_write(NodeId src, NodeId dst, RKey rkey,
   std::vector<std::byte> payload(data.begin(), data.end());
   sim_.schedule_at(*arrival, [this, dst, rkey, offset,
                               payload = std::move(payload), posted_at,
-                              done = std::move(done), deliver = *arrival]() {
+                              done = std::move(done),
+                              deliver = *arrival]() mutable {
     MemoryRegion* region = find_region(dst, rkey);
     if (!node_up(dst) || region == nullptr ||
         offset + payload.size() > region->bytes.size()) {
@@ -351,7 +352,7 @@ Status QueuePair::post_write(RKey rkey, std::uint64_t offset,
   fabric.sim_.schedule_at(deliver, [&fabric, remote, rkey, offset,
                                     payload = std::move(payload), self_id,
                                     nbytes, done = std::move(done), deliver,
-                                    posted_at]() {
+                                    posted_at]() mutable {
     MemoryRegion* region = fabric.find_region(remote, rkey);
     if (!fabric.node_up(remote) || region == nullptr ||
         offset + payload.size() > region->bytes.size()) {
@@ -461,7 +462,7 @@ Status QueuePair::post_read(RKey rkey, std::uint64_t offset,
   return Status::Ok();
 }
 
-Status QueuePair::post_send(std::span<const std::byte> message,
+Status QueuePair::post_send(std::vector<std::byte> message,
                             CompletionCallback done) {
   if (error_) return FailedPreconditionError("QP in error state");
   const SimTime posted_at = fabric_.sim_.now();
@@ -473,16 +474,17 @@ Status QueuePair::post_send(std::span<const std::byte> message,
   }
   const SimTime deliver = std::max(*arrival, last_delivery_);
   last_delivery_ = deliver;
-  std::vector<std::byte> payload(message.begin(), message.end());
+  // The posted frame itself rides to delivery (the sender gave it up).
+  std::vector<std::byte> payload = std::move(message);
   auto& fabric = fabric_;
   const QpId self_id = id_;
   const NodeId from = local_;
   const NodeId remote = remote_;
-  const std::uint64_t nbytes = message.size();
+  const std::uint64_t nbytes = payload.size();
   fabric.sim_.schedule_at(deliver, [&fabric, self_id, from, remote,
                                     payload = std::move(payload),
                                     done = std::move(done), deliver,
-                                    nbytes, posted_at]() {
+                                    nbytes, posted_at]() mutable {
     QueuePair* self = fabric.qp_by_id(self_id);
     QueuePair* peer = self != nullptr ? fabric.peer_of(self) : nullptr;
     if (!fabric.node_up(remote) || peer == nullptr ||
@@ -510,7 +512,7 @@ Status QueuePair::post_send(std::span<const std::byte> message,
       });
       return;
     }
-    peer->receive_handler_(from, std::span<const std::byte>(payload));
+    peer->receive_handler_(from, payload);
     const SimTime acked = deliver + fabric.config().latency.link_propagation_ns;
     fabric.metrics().histogram("fabric.send_ns")
         .record(static_cast<std::uint64_t>(acked - posted_at));

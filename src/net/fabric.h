@@ -57,8 +57,9 @@ class QueuePair {
                    CompletionCallback done, TraceId trace = kNoTrace);
 
   // Two-sided SEND. The remote node's receive handler for this QP gets the
-  // message at arrival time; the local callback fires at ack time.
-  Status post_send(std::span<const std::byte> message, CompletionCallback done);
+  // message at arrival time; the local callback fires at ack time. The QP
+  // takes the message buffer and carries it to delivery without copying.
+  Status post_send(std::vector<std::byte> message, CompletionCallback done);
 
   void set_receive_handler(ReceiveHandler handler) {
     receive_handler_ = std::move(handler);

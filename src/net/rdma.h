@@ -13,6 +13,7 @@
 #include <functional>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "common/units.h"
@@ -63,9 +64,11 @@ struct Completion {
 
 using CompletionCallback = std::function<void(const Completion&)>;
 
-// Handler invoked on the receiving side of a two-sided SEND.
+// Handler invoked on the receiving side of a two-sided SEND. The message is
+// the sender's posted buffer; the handler may keep it (move from it) rather
+// than copy what it needs — whatever it leaves is discarded after the call.
 using ReceiveHandler =
-    std::function<void(NodeId from, std::span<const std::byte> message)>;
+    std::function<void(NodeId from, std::vector<std::byte>& message)>;
 
 // A registered memory region: raw bytes pinned by their owner for the
 // lifetime of the registration. The fabric performs real memcpy into/out of

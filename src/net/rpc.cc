@@ -1,5 +1,11 @@
 #include "net/rpc.h"
 
+#include <array>
+#include <cassert>
+#include <cstring>
+#include <memory>
+#include <utility>
+
 #include "common/status.h"
 #include "common/units.h"
 #include "net/retry_policy.h"
@@ -14,21 +20,72 @@ namespace {
 // (error reply), then the payload bytes.
 enum class Kind : std::uint8_t { kRequest = 0, kReplyOk = 1, kReplyError = 2 };
 
+// kind + call id + trace id, common to every frame.
+constexpr std::size_t kFrameHeader = 1 + 8 + 8;
+// Length prefix of a put_bytes/put_string field.
+constexpr std::size_t kLengthPrefix = 4;
+
+// A frame header encoded on the stack, field by field as WireWriter encodes
+// them, then put in front of a body the caller already owns. The body is a
+// length-prefixed byte string, so the frame reads exactly as one written by
+// WireWriter::put_bytes. A body built by a default WireWriter has room left
+// in its first block, so a small frame reuses the body's buffer and costs no
+// allocation; a larger one costs the single allocation a fresh frame would.
+class FrameHeader {
+ public:
+  FrameHeader(Kind kind, std::uint64_t call_id, TraceId trace) {
+    put(static_cast<std::uint8_t>(kind));
+    put(call_id);
+    put(trace);
+  }
+
+  template <typename T>
+  void put(T v) {
+    static_assert(sizeof(T) <= kMaxBytes);
+    std::memcpy(bytes_.data() + size_, &v, sizeof(T));
+    size_ += sizeof(T);
+  }
+
+  std::vector<std::byte> frame(std::vector<std::byte> body) {
+    put(static_cast<std::uint32_t>(body.size()));
+    body.insert(body.begin(), bytes_.begin(), bytes_.begin() + size_);
+    return body;
+  }
+
+ private:
+  static constexpr std::size_t kMaxBytes =
+      kFrameHeader + sizeof(RpcMethod) + kLengthPrefix;
+  std::array<std::byte, kMaxBytes> bytes_{};
+  std::size_t size_ = 0;
+};
+
 }  // namespace
 
 void RpcEndpoint::attach_channel(QueuePair* qp) {
   channels_[qp->remote()] = qp;
   qp->set_receive_handler(
-      [this](NodeId from, std::span<const std::byte> message) {
+      [this](NodeId from, std::vector<std::byte>& message) {
         on_message(from, message);
       });
 }
 
 void RpcEndpoint::detach_channel(NodeId peer) { channels_.erase(peer); }
 
-std::string RpcEndpoint::method_label(RpcMethod method) const {
-  auto it = labels_.find(method);
-  return it != labels_.end() ? it->second : "m" + std::to_string(method);
+RpcEndpoint::Pending* RpcEndpoint::find_pending(std::uint64_t call_id) {
+  const std::uint64_t slot = call_id & kSlotMask;
+  if (call_id == 0 || slot >= calls_.size()) return nullptr;
+  Pending& pending = calls_[slot];
+  return pending.call_id == call_id ? &pending : nullptr;
+}
+
+const RpcEndpoint::MethodNames& RpcEndpoint::method_names(RpcMethod method) {
+  auto it = methods_.find(method);
+  if (it == methods_.end()) {
+    std::string label = "m";
+    label += std::to_string(method);
+    it = methods_.emplace(method, MethodNames(std::move(label))).first;
+  }
+  return it->second;
 }
 
 void RpcEndpoint::call(NodeId peer, RpcMethod method,
@@ -69,13 +126,13 @@ void RpcEndpoint::call(NodeId peer, RpcMethod method,
             ++keep->self->metrics_.counter("rpc.retries");
             keep->self->metrics_.histogram("net.backoff_ns")
                 .record(static_cast<std::uint64_t>(wait));
-            keep->self->trace_event(
-                "rpc.retry",
-                "node" + std::to_string(keep->self->self_) + " " +
-                    keep->self->method_label(keep->method) + " attempt " +
-                    std::to_string(keep->attempt + 1) + " after " +
-                    std::to_string(wait) + "ns " +
-                    format_trace_id(keep->trace));
+            keep->self->trace_event("rpc.retry", [&] {
+              return "node" + std::to_string(keep->self->self_) + " " +
+                     keep->self->method_names(keep->method).label +
+                     " attempt " + std::to_string(keep->attempt + 1) +
+                     " after " + std::to_string(wait) + "ns " +
+                     format_trace_id(keep->trace);
+            });
             keep->self->sim_.schedule_after(wait,
                                             [keep]() { keep->run(); });
           },
@@ -109,36 +166,42 @@ void RpcEndpoint::call_once(NodeId peer, RpcMethod method,
     });
     return;
   }
-  const std::uint64_t call_id = next_call_++;
-  auto pending = std::make_shared<Pending>();
-  pending->done = std::move(done);
-  pending->started = sim_.now();
-  pending->method = method;
-  pending->trace = trace;
-  pending_.emplace(call_id, pending);
+  std::uint32_t slot;
+  if (!free_calls_.empty()) {
+    slot = free_calls_.back();
+    free_calls_.pop_back();
+  } else {
+    slot = static_cast<std::uint32_t>(calls_.size());
+    assert(slot <= kSlotMask);
+    calls_.emplace_back();
+  }
+  const std::uint64_t call_id = next_call_++ << kSlotBits | slot;
+  Pending& pending = calls_[slot];
+  pending.call_id = call_id;
+  pending.done = std::move(done);
+  pending.started = sim_.now();
+  pending.method = method;
+  pending.trace = trace;
   if (spans_ != nullptr) {
+    const std::string& name = method_names(method).span;
     // Caller-side span: open here, closed by settle() when the reply, error
     // or timeout lands — the Pending record owns the handle across the async
     // gap. dm-lint: allow(span-unclosed)
-    pending->span = spans_->begin_span(trace, self_, "net",
-                                       "rpc." + method_label(method));
+    pending.span = spans_->begin_span(trace, self_, "net", name);
   }
   ++metrics_.counter("rpc.calls");
-  trace_event("rpc.call", "node" + std::to_string(self_) + " -> node" +
-                              std::to_string(peer) + " " +
-                              method_label(method) + " " +
-                              format_trace_id(trace));
+  trace_event("rpc.call", [&] {
+    return "node" + std::to_string(self_) + " -> node" +
+           std::to_string(peer) + " " + method_names(method).label + " " +
+           format_trace_id(trace);
+  });
 
-  WireWriter w;
-  w.put_u8(static_cast<std::uint8_t>(Kind::kRequest));
-  w.put_u64(call_id);
-  w.put_u64(trace);
-  w.put_u16(method);
-  w.put_bytes(payload);
-  const auto msg = std::move(w).take();
-
+  // The payload's buffer becomes the frame, and the QP carries that same
+  // buffer to delivery.
+  FrameHeader header(Kind::kRequest, call_id, trace);
+  header.put(method);
   Status posted = it->second->post_send(
-      msg, [this, call_id](const Completion& c) {
+      header.frame(std::move(payload)), [this, call_id](const Completion& c) {
         if (!c.status.ok()) settle(call_id, c.status);
       });
   if (!posted.ok()) {
@@ -146,11 +209,13 @@ void RpcEndpoint::call_once(NodeId peer, RpcMethod method,
     return;
   }
   sim_.schedule_after(timeout, [this, call_id]() {
+    // A call that already settled leaves no record; its timer is a no-op.
+    if (find_pending(call_id) == nullptr) return;
     settle(call_id, TimeoutError("rpc deadline exceeded"));
   });
 }
 
-void RpcEndpoint::on_message(NodeId from, std::span<const std::byte> message) {
+void RpcEndpoint::on_message(NodeId from, std::vector<std::byte>& message) {
   WireReader r(message);
   const auto kind = static_cast<Kind>(r.u8());
   const std::uint64_t call_id = r.u64();
@@ -165,41 +230,48 @@ void RpcEndpoint::on_message(NodeId from, std::span<const std::byte> message) {
     if (reply_channel == channels_.end()) return;
 
     ++metrics_.counter("rpc.dispatched");
-    trace_event("rpc.dispatch", "node" + std::to_string(self_) + " <- node" +
-                                    std::to_string(from) + " " +
-                                    method_label(method) + " " +
-                                    format_trace_id(trace));
-    WireWriter w;
-    auto handler = handlers_.find(method);
-    if (handler == handlers_.end()) {
+    trace_event("rpc.dispatch", [&] {
+      return "node" + std::to_string(self_) + " <- node" +
+             std::to_string(from) + " " + method_names(method).label + " " +
+             format_trace_id(trace);
+    });
+    // Error replies are sized to the code and message they carry.
+    auto error_reply = [call_id, trace](std::size_t body) {
+      WireWriter w(kFrameHeader + body);
       w.put_u8(static_cast<std::uint8_t>(Kind::kReplyError));
       w.put_u64(call_id);
       w.put_u64(trace);
+      return w;
+    };
+    auto handler = handlers_.find(method);
+    if (handler == handlers_.end()) {
+      WireWriter w = error_reply(sizeof(std::uint16_t));
       w.put_u16(static_cast<std::uint16_t>(StatusCode::kInvalidArgument));
-    } else {
-      WireReader req(payload);
-      // Expose the request's trace id to the handler so downstream calls
-      // stay on the same causal chain.
-      sim::SpanScope dispatch_span(spans_, trace, self_, "remote",
-                                   "rpc." + method_label(method));
-      current_trace_ = trace;
-      auto result = handler->second(from, req);
-      current_trace_ = kNoTrace;
-      dispatch_span.close();
-      if (result.ok()) {
-        w.put_u8(static_cast<std::uint8_t>(Kind::kReplyOk));
-        w.put_u64(call_id);
-        w.put_u64(trace);
-        w.put_bytes(*result);
-      } else {
-        w.put_u8(static_cast<std::uint8_t>(Kind::kReplyError));
-        w.put_u64(call_id);
-        w.put_u64(trace);
-        w.put_u16(static_cast<std::uint16_t>(result.status().code()));
-        w.put_string(result.status().message());
-      }
+      (void)reply_channel->second->post_send(std::move(w).take(), {});
+      return;
     }
-    (void)reply_channel->second->post_send(std::move(w).take(), {});
+    WireReader req(payload);
+    // Expose the request's trace id to the handler so downstream calls
+    // stay on the same causal chain.
+    sim::SpanScope dispatch_span(spans_, trace, self_, "remote",
+                                 method_names(method).span);
+    current_trace_ = trace;
+    auto result = handler->second(from, req);
+    current_trace_ = kNoTrace;
+    dispatch_span.close();
+    if (result.ok()) {
+      // The handler's result buffer becomes the reply frame.
+      FrameHeader header(Kind::kReplyOk, call_id, trace);
+      (void)reply_channel->second->post_send(
+          header.frame(std::move(*result)), {});
+    } else {
+      const Status error = result.status();
+      WireWriter w = error_reply(sizeof(std::uint16_t) + kLengthPrefix +
+                                 error.message().size());
+      w.put_u16(static_cast<std::uint16_t>(error.code()));
+      w.put_string(error.message());
+      (void)reply_channel->second->post_send(std::move(w).take(), {});
+    }
     return;
   }
 
@@ -207,7 +279,13 @@ void RpcEndpoint::on_message(NodeId from, std::span<const std::byte> message) {
   if (kind == Kind::kReplyOk) {
     auto payload = r.bytes();
     if (!r.ok()) return;
-    settle(call_id, std::vector<std::byte>(payload.begin(), payload.end()));
+    // The reply frame becomes the response: drop the header in place and
+    // hand the buffer on, instead of copying the payload out of it.
+    const auto start = payload.data() - message.data();
+    const std::size_t size = payload.size();
+    message.erase(message.begin(), message.begin() + start);
+    message.resize(size);
+    settle(call_id, std::move(message));
   } else if (kind == Kind::kReplyError) {
     const auto code = static_cast<StatusCode>(r.u16());
     std::string msg = r.remaining() > 0 ? r.string() : std::string{};
@@ -217,27 +295,27 @@ void RpcEndpoint::on_message(NodeId from, std::span<const std::byte> message) {
 
 void RpcEndpoint::settle(std::uint64_t call_id,
                          StatusOr<std::vector<std::byte>> result) {
-  auto it = pending_.find(call_id);
-  if (it == pending_.end()) return;
-  auto pending = it->second;
-  pending_.erase(it);
-  if (pending->settled) return;
-  pending->settled = true;
+  Pending* slot = find_pending(call_id);
+  if (slot == nullptr) return;
+  Pending pending = std::move(*slot);
+  *slot = Pending{};
+  free_calls_.push_back(static_cast<std::uint32_t>(call_id & kSlotMask));
   // Round-trip latency per method, timeouts and error-settles included —
   // failure detection time is part of the paper's recovery story.
-  metrics_.histogram("rpc.rtt." + method_label(pending->method))
-      .record(static_cast<std::uint64_t>(sim_.now() - pending->started));
-  if (spans_ != nullptr && pending->span != 0) spans_->end_span(pending->span);
+  const MethodNames& names = method_names(pending.method);
+  metrics_.histogram(names.rtt_histogram)
+      .record(static_cast<std::uint64_t>(sim_.now() - pending.started));
+  if (spans_ != nullptr && pending.span != 0) spans_->end_span(pending.span);
   if (!result.ok()) {
     ++metrics_.counter(result.status().code() == StatusCode::kTimeout
                            ? "rpc.timeouts"
                            : "rpc.errors");
   }
-  trace_event("rpc.reply", "node" + std::to_string(self_) + " " +
-                               method_label(pending->method) + " " +
-                               (result.ok() ? "ok " : "err ") +
-                               format_trace_id(pending->trace));
-  pending->done(std::move(result));
+  trace_event("rpc.reply", [&] {
+    return "node" + std::to_string(self_) + " " + names.label + " " +
+           (result.ok() ? "ok " : "err ") + format_trace_id(pending.trace);
+  });
+  pending.done(std::move(result));
 }
 
 }  // namespace dm::net

@@ -16,10 +16,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.h"
@@ -71,9 +71,9 @@ class RpcEndpoint {
   TraceId new_trace() { return make_trace_id(self_, ++next_trace_); }
 
   // Registers a human-readable label for a method id, used in tracer
-  // events and the "rpc.rtt.<label>" histogram names.
+  // events, span names and the "rpc.rtt.<label>" histogram names.
   void label_method(RpcMethod method, std::string label) {
-    labels_[method] = std::move(label);
+    methods_.insert_or_assign(method, MethodNames(std::move(label)));
   }
 
   // Registers the handler for a method id (overwrites any previous one).
@@ -118,27 +118,51 @@ class RpcEndpoint {
   // along to keep the chain causal.
   TraceId current_trace_id() const noexcept { return current_trace_; }
 
-  std::size_t inflight() const noexcept { return pending_.size(); }
+  std::size_t inflight() const noexcept {
+    return calls_.size() - free_calls_.size();
+  }
 
  private:
+  // Every name derived from a method's label, built once per method (on
+  // label_method, or on first use for an unlabeled "m<id>").
+  struct MethodNames {
+    explicit MethodNames(std::string method_label)
+        : label(std::move(method_label)),
+          span("rpc." + label),
+          rtt_histogram("rpc.rtt." + label) {}
+    std::string label;
+    std::string span;           // "rpc.<label>"
+    std::string rtt_histogram;  // "rpc.rtt.<label>"
+  };
+
+  // A call awaiting its reply, error or timeout, held in a pooled slot. The
+  // call id names its slot (low kSlotBits) and a per-endpoint sequence
+  // number (the rest), so finding a call needs no map. A settled call frees
+  // its slot, so a late reply or an expired timer for it finds the slot free
+  // or holding another call id, and does nothing.
   struct Pending {
+    std::uint64_t call_id = 0;  // 0: free slot
     RpcResponseCallback done;
     SimTime started = 0;
     RpcMethod method = 0;
     TraceId trace = kNoTrace;
     std::uint64_t span = 0;  // caller-side span handle
-    bool settled = false;
   };
 
   void call_once(NodeId peer, RpcMethod method,
                  std::vector<std::byte> payload, SimTime timeout,
                  RpcResponseCallback done, TraceId trace);
-  void on_message(NodeId from, std::span<const std::byte> message);
+  void on_message(NodeId from, std::vector<std::byte>& message);
   void settle(std::uint64_t call_id, StatusOr<std::vector<std::byte>> result);
-  std::string method_label(RpcMethod method) const;
-  void trace_event(std::string category, std::string detail) {
-    if (tracer_ != nullptr)
-      tracer_->record(sim_.now(), std::move(category), std::move(detail));
+  static constexpr unsigned kSlotBits = 24;
+  static constexpr std::uint64_t kSlotMask = (1ULL << kSlotBits) - 1;
+  Pending* find_pending(std::uint64_t call_id);
+  const MethodNames& method_names(RpcMethod method);
+  // Records a tracer event; `detail` is a callable returning the detail
+  // string, invoked only when a tracer is attached.
+  template <typename Detail>
+  void trace_event(const char* category, Detail&& detail) {
+    if (tracer_ != nullptr) tracer_->record(sim_.now(), category, detail());
   }
 
   sim::Simulator& sim_;
@@ -148,10 +172,11 @@ class RpcEndpoint {
   sim::SpanSink* spans_ = nullptr;
   RetryPolicy retry_;
   std::unordered_map<RpcMethod, RpcHandler> handlers_;
-  std::unordered_map<RpcMethod, std::string> labels_;
+  std::unordered_map<RpcMethod, MethodNames> methods_;
   std::function<Status(NodeId)> repairer_;
   std::unordered_map<NodeId, QueuePair*> channels_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<Pending>> pending_;
+  std::vector<Pending> calls_;
+  std::vector<std::uint32_t> free_calls_;
   std::uint64_t next_call_ = 1;
   std::uint32_t next_trace_ = 0;
   TraceId current_trace_ = kNoTrace;

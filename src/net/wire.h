@@ -6,6 +6,8 @@
 // UB) since fault-injection tests deliver torn messages.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -19,7 +21,14 @@ namespace dm::net {
 
 class WireWriter {
  public:
-  void put_u8(std::uint8_t v) { buf_.push_back(static_cast<std::byte>(v)); }
+  // An empty writer reserves a small first block on its first put, enough
+  // for any fixed-field control message, so building one costs a single
+  // allocation. Pass the exact size when it is known (RPC frames, replies
+  // carrying a byte string) to get exactly one allocation of that size.
+  WireWriter() = default;
+  explicit WireWriter(std::size_t capacity) { buf_.reserve(capacity); }
+
+  void put_u8(std::uint8_t v) { put_raw(&v, sizeof(v)); }
 
   void put_u16(std::uint16_t v) { put_raw(&v, sizeof(v)); }
   void put_u32(std::uint32_t v) { put_raw(&v, sizeof(v)); }
@@ -40,7 +49,12 @@ class WireWriter {
   std::vector<std::byte> take() && noexcept { return std::move(buf_); }
 
  private:
+  static constexpr std::size_t kFirstBlock = 64;
+
   void put_raw(const void* p, std::size_t n) {
+    if (buf_.capacity() - buf_.size() < n)
+      buf_.reserve(std::max({buf_.size() + n, 2 * buf_.capacity(),
+                             kFirstBlock}));
     const auto* b = static_cast<const std::byte*>(p);
     buf_.insert(buf_.end(), b, b + n);
   }

@@ -60,10 +60,7 @@ ScenarioEngine::Op ScenarioEngine::spawn_tenant(SimTime at) {
       horizon_, at + std::max<SimTime>(1, static_cast<SimTime>(rng_.exponential(
                          static_cast<double>(config_.mean_lifetime)))));
   t.next_op = at + draw_op_gap(at);
-  t.active = true;
   ++spawned_;
-  ++active_;
-  peak_active_ = std::max(peak_active_, active_);
 
   Op op;
   op.kind = Op::Kind::kSpawn;
@@ -72,12 +69,13 @@ ScenarioEngine::Op ScenarioEngine::spawn_tenant(SimTime at) {
   op.home = t.home;
   op.working_set = t.working_set;
   tenants_.emplace(id, std::move(t));
+  peak_active_ = std::max(peak_active_, active_tenants());
   return op;
 }
 
 void ScenarioEngine::retire_now(TenantId tenant) {
   auto it = tenants_.find(tenant);
-  if (it == tenants_.end() || !it->second.active) return;
+  if (it == tenants_.end()) return;  // already retired (and erased)
   it->second.forced_retire = true;
 }
 
@@ -85,15 +83,14 @@ ScenarioEngine::Op ScenarioEngine::next() {
   if (!started_) return Op{};
 
   // Forced retirements jump the queue (their ops are already cancelled).
-  for (auto& [id, t] : tenants_) {
-    if (!t.active || !t.forced_retire) continue;
-    t.active = false;
-    ++retired_;
-    --active_;
+  for (auto it = tenants_.begin(); it != tenants_.end(); ++it) {
+    if (!it->second.forced_retire) continue;
     Op op;
     op.kind = Op::Kind::kRetire;
-    op.at = std::min(std::max(t.next_op, start_), horizon_);
-    op.tenant = id;
+    op.at = std::min(std::max(it->second.next_op, start_), horizon_);
+    op.tenant = it->first;
+    tenants_.erase(it);
+    ++retired_;
     return op;
   }
 
@@ -107,7 +104,6 @@ ScenarioEngine::Op ScenarioEngine::next() {
   int best_kind = -1;
   TenantId best_tenant = 0;
   for (const auto& [id, t] : tenants_) {
-    if (!t.active) continue;
     if (t.retire_at <= best_at &&
         (best_kind == -1 || t.retire_at < best_at)) {
       best_at = t.retire_at;
@@ -138,10 +134,8 @@ ScenarioEngine::Op ScenarioEngine::next() {
     return spawn_tenant(best_at);
   }
   if (best_kind == kRetire) {
-    Tenant& t = tenants_[best_tenant];
-    t.active = false;
+    tenants_.erase(best_tenant);
     ++retired_;
-    --active_;
     Op op;
     op.kind = Op::Kind::kRetire;
     op.at = best_at;
@@ -149,7 +143,7 @@ ScenarioEngine::Op ScenarioEngine::next() {
     return op;
   }
   if (best_kind == kAccess) {
-    Tenant& t = tenants_[best_tenant];
+    Tenant& t = tenants_.find(best_tenant)->second;
     Op op;
     op.kind = Op::Kind::kAccess;
     op.at = best_at;

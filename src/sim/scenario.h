@@ -114,16 +114,19 @@ class ScenarioEngine {
   std::uint64_t tenants_retired() const noexcept { return retired_; }
   std::uint64_t ops_issued() const noexcept { return ops_; }
   std::uint64_t writes_issued() const noexcept { return writes_; }
-  std::uint32_t active_tenants() const noexcept { return active_; }
+  std::uint32_t active_tenants() const noexcept {
+    return static_cast<std::uint32_t>(tenants_.size());
+  }
   std::uint32_t peak_active() const noexcept { return peak_active_; }
 
  private:
+  // An active tenant. Retired tenants are erased, so next() scans only the
+  // live population however long the scenario runs.
   struct Tenant {
     NodeRef home = 0;
     std::uint64_t working_set = 0;
     SimTime next_op = 0;
     SimTime retire_at = 0;
-    bool active = false;
     bool forced_retire = false;
     std::unique_ptr<ZipfGenerator> zipf;
   };
@@ -138,14 +141,14 @@ class ScenarioEngine {
   SimTime horizon_ = 0;
   SimTime next_arrival_ = 0;
   bool started_ = false;
-  // Ordered by tenant id so the earliest-deadline scan is deterministic.
+  // Active tenants, ordered by id so the earliest-deadline scan is
+  // deterministic.
   std::map<TenantId, Tenant> tenants_;
   TenantId next_tenant_ = 0;
   std::uint64_t spawned_ = 0;
   std::uint64_t retired_ = 0;
   std::uint64_t ops_ = 0;
   std::uint64_t writes_ = 0;
-  std::uint32_t active_ = 0;
   std::uint32_t peak_active_ = 0;
 };
 

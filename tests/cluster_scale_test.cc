@@ -88,7 +88,11 @@ std::vector<std::byte> value_for(std::uint32_t tenant, std::uint32_t index,
 }
 
 std::string key_of(std::uint32_t tenant, std::uint32_t index) {
-  return "t" + std::to_string(tenant) + "-k" + std::to_string(index);
+  std::string key = "t";
+  key += std::to_string(tenant);
+  key += "-k";
+  key += std::to_string(index);
+  return key;
 }
 
 struct SoakOutcome {

@@ -58,7 +58,7 @@ TEST_F(FuzzFixture, GarbageFramesAreIgnoredSafely) {
     for (auto& b : frame) b = static_cast<std::byte>(rng.next_u64() & 0xff);
     // Inject via a raw QP send into ep1's dispatcher.
     bool sent = false;
-    ASSERT_TRUE((*qp)->post_send(frame, [&](const Completion&) {
+    ASSERT_TRUE((*qp)->post_send(std::move(frame), [&](const Completion&) {
       sent = true;
     }).ok());
     ASSERT_TRUE(sim_.run_until_flag(sent));

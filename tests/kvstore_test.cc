@@ -159,7 +159,8 @@ TEST(KvStoreTest, RandomChurnPreservesConsistency) {
   std::vector<std::byte> page(4096);
   for (int step = 0; step < 800; ++step) {
     const int k = static_cast<int>(rng.next_below(40));
-    const std::string key = "k" + std::to_string(k);
+    std::string key = "k";
+    key += std::to_string(k);
     switch (rng.next_below(3)) {
       case 0: {  // set
         const std::uint64_t seed = rng.next_u64();

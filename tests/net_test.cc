@@ -8,6 +8,7 @@
 #include "common/units.h"
 #include "net/connection_manager.h"
 #include "net/fabric.h"
+#include "net/retry_policy.h"
 #include "net/rpc.h"
 #include "net/wire.h"
 #include "sim/simulator.h"
@@ -203,18 +204,25 @@ TEST_F(FabricTest, SendDeliversToReceiveHandler) {
   ASSERT_NE(peer, nullptr);
 
   std::vector<std::byte> received;
+  const std::byte* received_at = nullptr;
   NodeId from = kInvalidNode;
   peer->set_receive_handler([&](NodeId f, std::span<const std::byte> m) {
     from = f;
+    received_at = m.data();
     received.assign(m.begin(), m.end());
   });
-  auto msg = pattern(100);
+  const auto msg = pattern(100);
+  auto frame = msg;
+  const std::byte* posted_at = frame.data();
   bool acked = false;
-  ASSERT_TRUE((*qp)->post_send(msg, [&](const Completion&) { acked = true; })
+  ASSERT_TRUE((*qp)->post_send(std::move(frame),
+                               [&](const Completion&) { acked = true; })
                   .ok());
   ASSERT_TRUE(sim_.run_until_flag(acked));
   EXPECT_EQ(from, 0u);
   EXPECT_EQ(received, msg);
+  // The posted buffer itself reaches the receiver: no copy along the way.
+  EXPECT_EQ(received_at, posted_at);
 }
 
 TEST_F(FabricTest, RpcRoundTrip) {
@@ -377,6 +385,66 @@ TEST_F(FabricTest, TracerSeesVerbsAndTopology) {
   fabric_.set_tracer(nullptr);
   fabric_.set_node_up(2, true);
   EXPECT_EQ(tracer.by_category("fabric.node").size(), 1u);  // detached
+}
+
+// The RPC layer formats its tracer details only when a tracer is attached;
+// with one attached, the text must read exactly as it always has (the
+// expected lines were recorded before the formatting moved behind the
+// tracer check).
+TEST_F(FabricTest, RpcTracerDetailsKeepTheirText) {
+  sim::Tracer tracer;
+  RpcEndpoint ep0(sim_, 0), ep1(sim_, 1);
+  ep0.set_tracer(&tracer);
+  ep1.set_tracer(&tracer);
+  ConnectionManager cm(fabric_);
+  cm.register_endpoint(&ep0);
+  cm.register_endpoint(&ep1);
+  ASSERT_TRUE(cm.ensure_control_channel(0, 1).ok());
+  RetryPolicy retry;
+  retry.max_attempts = 2;
+  ep0.set_retry_policy(retry);
+  for (RpcEndpoint* ep : {&ep0, &ep1}) ep->label_method(5, "double");
+  ep1.handle(5, [](NodeId, WireReader& r) -> StatusOr<std::vector<std::byte>> {
+    WireWriter w;
+    w.put_u64(r.u64() * 2);
+    return std::move(w).take();
+  });
+  ep1.handle(7, [](NodeId, WireReader&) -> StatusOr<std::vector<std::byte>> {
+    return UnavailableError("busy");
+  });
+
+  int settled = 0;
+  const auto count = [&](StatusOr<std::vector<std::byte>>) { ++settled; };
+  WireWriter req;
+  req.put_u64(21);
+  ep0.call(1, 5, std::move(req).take(), 10 * kMilli, count);  // ok
+  ep0.call(1, 99, {}, 10 * kMilli, count);  // unknown method: err
+  ep0.call(1, 7, {}, 10 * kMilli, count);   // unavailable: one retry
+  sim_.run();
+  EXPECT_EQ(settled, 3);
+  EXPECT_EQ(tracer.to_string(),
+            "[0ns] rpc.call: node0 -> node1 double trace=0:1\n"
+            "[0ns] rpc.call: node0 -> node1 m99 trace=0:2\n"
+            "[0ns] rpc.call: node0 -> node1 m7 trace=0:3\n"
+            "[2.30us] rpc.dispatch: node1 <- node0 double trace=0:1\n"
+            "[4.31us] rpc.dispatch: node1 <- node0 m99 trace=0:2\n"
+            "[4.61us] rpc.reply: node0 double ok trace=0:1\n"
+            "[6.31us] rpc.dispatch: node1 <- node0 m7 trace=0:3\n"
+            "[6.61us] rpc.reply: node0 m99 err trace=0:2\n"
+            "[8.61us] rpc.reply: node0 m7 err trace=0:3\n"
+            "[8.61us] rpc.retry: node0 m7 attempt 2 after 839230ns "
+            "trace=0:3\n"
+            "[847.84us] rpc.call: node0 -> node1 m7 trace=0:3\n"
+            "[850.15us] rpc.dispatch: node1 <- node0 m7 trace=0:3\n"
+            "[852.45us] rpc.reply: node0 m7 err trace=0:3\n");
+  // Detached, the endpoint records nothing.
+  tracer.clear();
+  ep0.set_tracer(nullptr);
+  ep1.set_tracer(nullptr);
+  ep0.call(1, 5, {}, 10 * kMilli, count);
+  sim_.run();
+  EXPECT_EQ(settled, 4);
+  EXPECT_EQ(tracer.size(), 0u);
 }
 
 TEST_F(FabricTest, RcCompletionsStayInOrderPerQp) {

@@ -2,14 +2,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/units.h"
 #include "sim/chaos_schedule.h"
+#include "sim/event_callback.h"
 #include "sim/scenario.h"
 #include "sim/failure_injector.h"
 #include "sim/latency_model.h"
@@ -115,6 +119,86 @@ TEST(SimulatorTest, CountsExecutedEvents) {
   for (int i = 0; i < 7; ++i) sim.schedule_at(i, [] {});
   sim.run();
   EXPECT_EQ(sim.executed_events(), 7u);
+}
+
+TEST(SimulatorTest, MoveOnlyCallbackRuns) {
+  Simulator sim;
+  int seen = 0;
+  auto owned = std::make_unique<int>(42);
+  sim.schedule_at(5, [&seen, owned = std::move(owned)] { seen = *owned; });
+  sim.run();
+  EXPECT_EQ(seen, 42);
+}
+
+TEST(SimulatorTest, RandomSchedulesRunInStableWhenSeqOrder) {
+  Simulator sim;
+  Rng rng(0x5eed);
+  constexpr int kEvents = 10000;
+  std::vector<std::pair<SimTime, int>> scheduled;  // (when, seq)
+  std::vector<int> ran;
+  for (int i = 0; i < kEvents; ++i) {
+    // A narrow time range forces many ties, which must break by seq.
+    const auto when = static_cast<SimTime>(rng.next_below(500));
+    scheduled.emplace_back(when, i);
+    sim.schedule_at(when, [&ran, i] { ran.push_back(i); });
+  }
+  std::stable_sort(scheduled.begin(), scheduled.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  sim.run();
+  ASSERT_EQ(ran.size(), scheduled.size());
+  for (int i = 0; i < kEvents; ++i) EXPECT_EQ(ran[i], scheduled[i].second) << i;
+  EXPECT_EQ(sim.executed_events(), static_cast<std::uint64_t>(kEvents));
+}
+
+TEST(SimulatorTest, ScheduleAtNowRunsAfterQueuedSameTimeEvents) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule_at(10, [&] {
+    order.push_back(1);
+    sim.schedule_at(sim.now(), [&] { order.push_back(4); });
+  });
+  sim.schedule_at(10, [&] { order.push_back(2); });
+  sim.schedule_at(10, [&] { order.push_back(3); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+}
+
+TEST(SimulatorTest, LargeClosuresRunAndReleaseTheirCaptures) {
+  Simulator sim;
+  auto alive = std::make_shared<int>(0);
+  struct Big {
+    std::array<std::uint64_t, 32> pad{};
+  };
+  static_assert(!EventCallback::stores_inline<Big>());
+  std::uint64_t sum = 0;
+  for (int i = 0; i < 3; ++i) {
+    Big big;
+    big.pad.fill(static_cast<std::uint64_t>(i + 1));
+    sim.schedule_at(i, [&sum, big, alive] { sum += big.pad[31]; });
+  }
+  EXPECT_EQ(alive.use_count(), 4);
+  sim.run();
+  EXPECT_EQ(sum, 6u);
+  EXPECT_EQ(alive.use_count(), 1);  // each closure destroyed after it ran
+}
+
+TEST(SimulatorTest, NestedStepKeepsTheRunningCallbackIntact) {
+  // A callback that drives the loop itself (blocking-style code) schedules
+  // enough events to grow the slot pool while it is still running.
+  Simulator sim;
+  std::vector<int> order;
+  std::string tag = "outer";
+  sim.schedule_at(1, [&, tag] {
+    bool flag = false;
+    for (int i = 0; i < 1000; ++i) sim.schedule_after(1, [&order, i] {
+      if (i % 250 == 0) order.push_back(i);
+    });
+    sim.schedule_after(2, [&flag] { flag = true; });
+    EXPECT_TRUE(sim.run_until_flag(flag));
+    order.push_back(tag == "outer" ? -1 : -2);
+  });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 250, 500, 750, -1}));
 }
 
 // ---- latency model -----------------------------------------------------------
@@ -480,6 +564,60 @@ TEST(ScenarioEngineTest, RetireNowCancelsATenantsRemainingOps) {
   EXPECT_EQ(second.kind, ScenarioEngine::Op::Kind::kRetire);
   EXPECT_EQ(second.tenant, first.tenant);
   for (const auto& op : drain(engine)) EXPECT_NE(op.tenant, first.tenant);
+}
+
+// A long churn script: hundreds of tenants come and go, some forced out at
+// spawn and some retired twice. The stream hash was computed on the engine
+// that kept every retired tenant in its table, so it pins that erasing
+// retired tenants leaves the op stream byte-identical.
+TEST(ScenarioEngineTest, LongChurnScriptStreamIsPinned) {
+  ScenarioEngine::Config config;
+  config.seed = 2024;
+  config.node_count = 64;
+  config.initial_tenants = 8;
+  config.max_tenants = 600;
+  config.mean_arrival_gap = 50 * kMilli;
+  config.mean_lifetime = 1 * kSecond;
+  config.min_working_set = 16;
+  config.max_working_set = 512;
+  config.mean_op_gap = 10 * kMilli;
+  config.duration = 40 * kSecond;
+  ScenarioEngine engine(config);
+  engine.start(3 * kSecond);
+
+  std::uint64_t hash = 0xcbf29ce484222325ULL;  // FNV-1a over every field
+  const auto mix = [&hash](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      hash ^= (v >> (8 * i)) & 0xff;
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  std::uint64_t ops = 0;
+  for (;;) {
+    const auto op = engine.next();
+    mix(static_cast<std::uint64_t>(op.kind));
+    mix(static_cast<std::uint64_t>(op.at));
+    mix(op.tenant);
+    mix(op.home);
+    mix(op.working_set);
+    mix(op.index);
+    mix(op.write ? 1 : 0);
+    if (op.kind == ScenarioEngine::Op::Kind::kDone) break;
+    ++ops;
+    if (op.kind == ScenarioEngine::Op::Kind::kSpawn && op.tenant % 7 == 3)
+      engine.retire_now(op.tenant);  // rejected spawn: forced path
+    if (op.kind == ScenarioEngine::Op::Kind::kRetire)
+      engine.retire_now(op.tenant);  // already retired: a no-op
+  }
+  EXPECT_EQ(engine.tenants_spawned(), 600u);
+  EXPECT_EQ(engine.tenants_retired(), 600u);
+  EXPECT_EQ(engine.active_tenants(), 0u);
+  EXPECT_GT(ops, 50000u);
+  mix(ops);
+  mix(engine.ops_issued());
+  mix(engine.writes_issued());
+  mix(engine.peak_active());
+  EXPECT_EQ(hash, 0x11f3e305ab7c641bULL) << std::hex << hash;
 }
 
 TEST(ScenarioEngineTest, DiurnalWaveStaysInBandAndRepeats) {
