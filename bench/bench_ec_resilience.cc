@@ -72,11 +72,11 @@ int main() {
     config.node.disk.capacity_bytes = 128 * MiB;
     if (mode.replication > 0) {
       config.service.rdmc.replication = mode.replication;
-      config.service.rdmc.min_replicas = 1;
+      config.service.rdmc.min_units = 1;
     } else {
       config.service.rdmc.ec_k = mode.ec_k;
       config.service.rdmc.ec_r = mode.ec_r;
-      config.service.rdmc.min_shards = mode.ec_k;
+      config.service.rdmc.min_units = mode.ec_k;
     }
     config.repair.enabled = true;
     config.repair.scan_period = 100 * kMilli;

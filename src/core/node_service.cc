@@ -146,7 +146,7 @@ void NodeService::put_entry(cluster::ServerId server, mem::EntryId entry,
           self->put_remote(server, entry, payload, allow_disk,
                            std::move(done), trace);
         } else if (allow_disk) {
-          self->put_device(server, entry, payload, std::move(done));
+          self->put_device(payload, std::move(done), net::kNoTrace);
         } else {
           done(ResourceExhaustedError("no tier available for entry"));
         }
@@ -169,7 +169,7 @@ void NodeService::put_entry(cluster::ServerId server, mem::EntryId entry,
   if (allow_remote) {
     put_remote(server, entry, data, allow_disk, std::move(done), trace);
   } else if (allow_disk) {
-    put_device(server, entry, data, std::move(done), trace);
+    put_device(data, std::move(done), trace);
   } else {
     done(ResourceExhaustedError("no tier available for entry"));
   }
@@ -180,170 +180,123 @@ void NodeService::put_remote(cluster::ServerId server, mem::EntryId entry,
                              PutCallback done, net::TraceId trace) {
   ++remote_puts_window_;
   note_pressure();
-  if (rdmc_.config().ec_k > 0) {
-    put_remote_ec(server, entry, data, allow_disk, std::move(done), trace);
-    return;
-  }
-  const auto size = static_cast<std::uint32_t>(data.size());
-  // Keep a copy for the disk fallback: rdmc consumes the span immediately,
-  // but on failure we need the bytes again.
-  auto payload = std::make_shared<std::vector<std::byte>>(data.begin(),
-                                                          data.end());
-  rdmc_.put(server, entry, *payload,
-            [this, server, entry, size, allow_disk, payload, trace,
-             done = std::move(done)](
-                StatusOr<std::vector<mem::RemoteReplica>> replicas) mutable {
-              if (replicas.ok()) {
-                mem::EntryLocation loc;
-                loc.tier = mem::Tier::kRemote;
-                loc.stored_size = size;
-                loc.replicas = *std::move(replicas);
-                // Degraded-mode put (§IV.D hardening): fewer replicas than
-                // the factor landed; flag it for the repair service.
-                loc.degraded =
-                    loc.replicas.size() < rdmc_.config().replication;
-                if (loc.degraded)
-                  ++metrics_.counter("ldms.put_remote_degraded");
-                ++metrics_.counter("ldms.put_remote");
-                done(loc);
-                return;
-              }
-              // Remote tier refused the entry. Capacity exhaustion is a
-              // normal overflow; anything else means remote memory is
-              // unreachable, so the disk copy is a *degraded* placement the
-              // repair service should re-promote once the cluster heals.
-              const bool unreachable = replicas.status().code() !=
-                                       StatusCode::kResourceExhausted;
-              if (allow_disk) {
-                ++metrics_.counter("ldms.remote_overflow_to_disk");
-                put_device(server, entry, *payload,
-                           [this, unreachable, done = std::move(done)](
-                               StatusOr<mem::EntryLocation> result) mutable {
-                             if (result.ok() && unreachable) {
-                               result->degraded = true;
-                               ++metrics_.counter("ldms.degraded_to_disk");
-                             }
-                             done(std::move(result));
-                           },
-                           trace);
-                return;
-              }
-              done(replicas.status());
-            },
-            /*exclude=*/{}, /*count=*/0, trace);
+  // One buffer serves the stripe (every copy, when k = 1) and the disk
+  // fallback below.
+  auto stripe = std::make_shared<Rdmc::Stripe>();
+  stripe->payload.assign(data.begin(), data.end());
+  store_remote(
+      server, entry, stripe,
+      [this, server, entry, allow_disk, stripe, trace, done = std::move(done)](
+          StatusOr<std::vector<mem::RemoteReplica>> landed) mutable {
+        if (landed.ok()) {
+          mem::EntryLocation loc;
+          adopt_stripe(loc, *stripe, *std::move(landed));
+          // Degraded-mode put (§IV.D hardening): not every unit of the
+          // stripe landed; flag it for the repair service.
+          if (loc.degraded) ++metrics_.counter("ldms.put_remote_degraded");
+          ++metrics_.counter("ldms.put_remote");
+          done(std::move(loc));
+          return;
+        }
+        // Remote tier refused the entry. Capacity exhaustion is a normal
+        // overflow; anything else means remote memory is unreachable, so the
+        // disk copy is a *degraded* placement the repair service should
+        // re-promote once the cluster heals.
+        const bool unreachable =
+            landed.status().code() != StatusCode::kResourceExhausted;
+        if (!allow_disk) {
+          done(landed.status());
+          return;
+        }
+        ++metrics_.counter("ldms.remote_overflow_to_disk");
+        put_device(stripe->payload,
+                   [this, stripe, unreachable, done = std::move(done)](
+                       StatusOr<mem::EntryLocation> result) mutable {
+                     if (result.ok() && unreachable) {
+                       result->degraded = true;
+                       ++metrics_.counter("ldms.degraded_to_disk");
+                     }
+                     done(std::move(result));
+                   },
+                   trace);
+      },
+      trace);
 }
 
-// ---- erasure-coded remote tier (Hydra-style) --------------------------------
-
-void NodeService::ec_store(
-    cluster::ServerId server, mem::EntryId entry,
-    std::span<const std::byte> data,
-    std::function<void(StatusOr<mem::EntryLocation>)> done,
-    net::TraceId trace) {
+void NodeService::store_remote(cluster::ServerId server, mem::EntryId entry,
+                               std::shared_ptr<Rdmc::Stripe> stripe,
+                               Rdmc::PutCallback done, net::TraceId trace) {
+  const std::size_t k = config_.rdmc.data_units();
+  const std::size_t total = config_.rdmc.total_units();
+  if (k == 1) {
+    // Every unit is the payload itself: no codec, no encode cost.
+    rdmc_.put(server, entry, std::move(stripe), Rdmc::all_units(total),
+              config_.rdmc.floor_units(), std::move(done), /*exclude=*/{},
+              trace);
+    return;
+  }
   if (!codec_) {
+    // An invalid (k, r) fails EC puts rather than silently replicating.
     done(FailedPreconditionError("ec codec unavailable (invalid k/r)"));
     return;
   }
   if (trace == net::kNoTrace) trace = node_.next_trace_id();
-  const std::size_t k = codec_->k();
-  const std::size_t total = codec_->total_shards();
-  auto shards = codec_->encode(data);
-  if (!shards.ok()) {
-    done(shards.status());
+  auto units = codec_->encode(stripe->payload);
+  if (!units.ok()) {
+    done(units.status());
     return;
   }
-  std::vector<std::uint64_t> checksums(total);
-  std::vector<Rdmc::ShardPayload> payloads(total);
-  for (std::size_t i = 0; i < total; ++i) {
-    payloads[i].shard = static_cast<std::uint32_t>(i);
-    payloads[i].bytes = std::move((*shards)[i]);
-    checksums[i] = fnv1a(payloads[i].bytes);
-  }
-  // Degraded floor ("min surviving shards"): never below k — fewer could
-  // not be read back — and min_shards = 0 means all-or-nothing.
-  const std::size_t min_needed =
-      config_.rdmc.min_shards == 0
-          ? total
-          : std::clamp(config_.rdmc.min_shards, k, total);
-  const auto size = static_cast<std::uint32_t>(data.size());
+  stripe->units = *std::move(units);
+  stripe->checksums.resize(total);
+  for (std::size_t i = 0; i < total; ++i)
+    stripe->checksums[i] = fnv1a(stripe->units[i]);
   // The codec is pure computation; charge its CPU as virtual time before
-  // the shard fan-out starts.
-  const SimTime cost = config_.ec_encode_cost.cost(size);
-  metrics_.histogram("ec.encode_ns").record(
-      static_cast<std::uint64_t>(cost));
+  // the unit fan-out starts.
+  const SimTime cost = config_.ec_encode_cost.cost(stripe->payload.size());
+  metrics_.histogram("ec.encode_ns").record(static_cast<std::uint64_t>(cost));
   ++metrics_.counter("ec.encodes");
   std::uint64_t span = 0;
   if (spans_ != nullptr)
     // dm-lint: allow(span-unclosed) — closed when the encode delay elapses.
     span = spans_->begin_span(trace, node_.id(), "ec", "ec.encode");
   node_.simulator().schedule_after(
-      cost,
-      [this, server, entry, size, k, total, span, trace,
-       have_span = spans_ != nullptr, checksums = std::move(checksums),
-       payloads = std::move(payloads), min_needed,
-       done = std::move(done)]() mutable {
+      cost, [this, server, entry, total, span, trace,
+             have_span = spans_ != nullptr, stripe = std::move(stripe),
+             done = std::move(done)]() mutable {
         if (have_span && spans_ != nullptr) spans_->end_span(span);
-        rdmc_.put_shards(
-            server, entry, std::move(payloads), min_needed,
-            [size, k, total, checksums = std::move(checksums),
-             done = std::move(done)](
-                StatusOr<std::vector<mem::RemoteReplica>> replicas) mutable {
-              if (!replicas.ok()) {
-                done(replicas.status());
-                return;
-              }
-              mem::EntryLocation loc;
-              loc.tier = mem::Tier::kRemote;
-              loc.stored_size = size;
-              loc.ec_k = static_cast<std::uint8_t>(k);
-              loc.ec_r = static_cast<std::uint8_t>(total - k);
-              loc.shard_checksums = std::move(checksums);
-              loc.replicas = *std::move(replicas);
-              loc.degraded = loc.replicas.size() < total;
-              done(std::move(loc));
-            },
-            /*exclude=*/{}, trace);
+        rdmc_.put(server, entry, std::move(stripe), Rdmc::all_units(total),
+                  config_.rdmc.floor_units(), std::move(done),
+                  /*exclude=*/{}, trace);
       });
 }
 
-void NodeService::put_remote_ec(cluster::ServerId server, mem::EntryId entry,
-                                std::span<const std::byte> data,
-                                bool allow_disk, PutCallback done,
-                                net::TraceId trace) {
-  auto payload = std::make_shared<std::vector<std::byte>>(data.begin(),
-                                                          data.end());
-  ec_store(server, entry, *payload,
-           [this, server, entry, allow_disk, payload, trace,
-            done = std::move(done)](StatusOr<mem::EntryLocation> loc) mutable {
-             if (loc.ok()) {
-               if (loc->degraded)
-                 ++metrics_.counter("ldms.put_remote_degraded");
-               ++metrics_.counter("ldms.put_remote");
-               done(*std::move(loc));
-               return;
-             }
-             // Same fallback contract as replicated puts: capacity
-             // exhaustion is normal overflow, anything else leaves the
-             // disk copy flagged degraded for re-promotion.
-             const bool unreachable =
-                 loc.status().code() != StatusCode::kResourceExhausted;
-             if (allow_disk) {
-               ++metrics_.counter("ldms.remote_overflow_to_disk");
-               put_device(server, entry, *payload,
-                          [this, unreachable, done = std::move(done)](
-                              StatusOr<mem::EntryLocation> result) mutable {
-                            if (result.ok() && unreachable) {
-                              result->degraded = true;
-                              ++metrics_.counter("ldms.degraded_to_disk");
-                            }
-                            done(std::move(result));
-                          },
-                          trace);
-               return;
-             }
-             done(loc.status());
-           },
-           trace);
+void NodeService::adopt_stripe(mem::EntryLocation& loc, Rdmc::Stripe& stripe,
+                               std::vector<mem::RemoteReplica> landed) const {
+  const std::size_t k = config_.rdmc.data_units();
+  const std::size_t total = config_.rdmc.total_units();
+  loc.tier = mem::Tier::kRemote;
+  loc.stored_size = static_cast<std::uint32_t>(stripe.payload.size());
+  loc.disk_offset = 0;
+  loc.ec_k = static_cast<std::uint8_t>(k);
+  loc.ec_r = static_cast<std::uint8_t>(total - k);
+  loc.shard_checksums = std::move(stripe.checksums);
+  loc.replicas = std::move(landed);
+  loc.degraded = loc.replicas.size() < total;
+}
+
+std::size_t NodeService::unit_size(const mem::EntryLocation& loc) {
+  return loc.ec_k > 1 ? ec::RsCodec::shard_size(loc.stored_size, loc.ec_k)
+                      : loc.stored_size;
+}
+
+StatusOr<const ec::RsCodec*> NodeService::codec_for(
+    const mem::EntryLocation& loc, std::optional<ec::RsCodec>& scratch) {
+  if (codec_ && codec_->k() == loc.ec_k && codec_->r() == loc.ec_r)
+    return &*codec_;
+  auto codec = ec::RsCodec::make(loc.ec_k, loc.ec_r);
+  if (!codec.ok()) return codec.status();
+  scratch.emplace(*std::move(codec));
+  return &*scratch;
 }
 
 StatusOr<std::vector<std::byte>> NodeService::ec_decode_shards(
@@ -359,11 +312,10 @@ StatusOr<std::vector<std::byte>> NodeService::ec_decode_shards(
       ++metrics_.counter("ec.corrupt_shards");
     }
   }
-  if (codec_ && codec_->k() == loc.ec_k && codec_->r() == loc.ec_r)
-    return codec_->decode(shards, loc.stored_size);
-  auto codec = ec::RsCodec::make(loc.ec_k, loc.ec_r);
+  std::optional<ec::RsCodec> scratch;
+  auto codec = codec_for(loc, scratch);
   if (!codec.ok()) return codec.status();
-  return codec->decode(shards, loc.stored_size);
+  return (*codec)->decode(shards, loc.stored_size);
 }
 
 void NodeService::get_entry_ec(const mem::EntryLocation& location,
@@ -510,104 +462,63 @@ void NodeService::ec_degraded_read(mem::EntryLocation location,
   }
 }
 
-void NodeService::put_device(cluster::ServerId server, mem::EntryId entry,
-                             std::span<const std::byte> data, PutCallback done,
-                             net::TraceId trace) {
+void NodeService::put_device(std::span<const std::byte> data,
+                             PutCallback done, net::TraceId trace) {
   note_pressure();
   // §VI convergence: a local NVM tier, when present, sits between remote
   // memory and the rotational swap device.
-  if (node_.nvm() != nullptr) {
-    put_nvm(server, entry, data, std::move(done), trace);
-    return;
-  }
-  put_disk(server, entry, data, std::move(done), trace);
+  put_on(node_.nvm() != nullptr ? mem::Tier::kNvm : mem::Tier::kDisk, data,
+         std::move(done), trace);
 }
 
-void NodeService::put_nvm(cluster::ServerId server, mem::EntryId entry,
-                          std::span<const std::byte> data, PutCallback done,
-                          net::TraceId trace) {
-  auto offset = alloc_nvm(static_cast<std::uint32_t>(data.size()));
+void NodeService::put_on(mem::Tier tier, std::span<const std::byte> data,
+                         PutCallback done, net::TraceId trace) {
+  const bool nvm = tier == mem::Tier::kNvm;
+  const auto size = static_cast<std::uint32_t>(data.size());
+  auto offset = alloc_extent(tier, size);
   if (!offset.ok()) {
+    if (!nvm) {
+      done(offset.status());
+      return;
+    }
     // NVM full: fall through to the disk below it.
     ++metrics_.counter("ldms.nvm_overflow_to_disk");
-    put_disk(server, entry, data, std::move(done), trace);
+    put_on(mem::Tier::kDisk, data, std::move(done), trace);
     return;
   }
   if (spans_ != nullptr && trace != net::kNoTrace) {
     // dm-lint: allow(span-unclosed) — closed by the wrapped completion.
-    const std::uint64_t span =
-        spans_->begin_span(trace, node_.id(), "disk", "nvm.write");
+    const std::uint64_t span = spans_->begin_span(
+        trace, node_.id(), "disk", nvm ? "nvm.write" : "disk.write");
     done = [spans = spans_, span, inner = std::move(done)](
                StatusOr<mem::EntryLocation> result) {
       spans->end_span(span);
       inner(std::move(result));
     };
   }
-  const auto size = static_cast<std::uint32_t>(data.size());
   const std::uint64_t at = *offset;
-  auto done_ptr = std::make_shared<PutCallback>(std::move(done));
-  Status posted = node_.nvm()->write(
-      at, data, [this, at, size, done_ptr](const Status& s, SimTime) {
-        if (!s.ok()) {
-          free_nvm(at, size);
-          (*done_ptr)(s);
-          return;
-        }
-        mem::EntryLocation loc;
-        loc.tier = mem::Tier::kNvm;
-        loc.stored_size = size;
-        loc.disk_offset = at;
-        ++metrics_.counter("ldms.put_nvm");
-        (*done_ptr)(loc);
-      });
-  if (!posted.ok()) {
-    free_nvm(at, size);
-    (*done_ptr)(posted);
-  }
-}
-
-void NodeService::put_disk(cluster::ServerId server, mem::EntryId entry,
-                           std::span<const std::byte> data, PutCallback done,
-                           net::TraceId trace) {
-  (void)server;
-  (void)entry;
-  auto offset = alloc_disk(static_cast<std::uint32_t>(data.size()));
-  if (!offset.ok()) {
-    done(offset.status());
-    return;
-  }
-  if (spans_ != nullptr && trace != net::kNoTrace) {
-    // dm-lint: allow(span-unclosed) — closed by the wrapped completion.
-    const std::uint64_t span =
-        spans_->begin_span(trace, node_.id(), "disk", "disk.write");
-    done = [spans = spans_, span, inner = std::move(done)](
-               StatusOr<mem::EntryLocation> result) {
-      spans->end_span(span);
-      inner(std::move(result));
-    };
-  }
-  const auto size = static_cast<std::uint32_t>(data.size());
-  const std::uint64_t at = *offset;
+  storage::BlockDevice& device = nvm ? *node_.nvm() : node_.disk();
   // Shared so the error path below can still invoke it if the device
   // rejects the I/O at post time (the lambda then never runs).
   auto done_ptr = std::make_shared<PutCallback>(std::move(done));
-  Status posted = node_.disk().write(
-      at, data, [this, at, size, done_ptr](const Status& s, SimTime) {
+  Status posted = device.write(
+      at, data, [this, tier, at, size, done_ptr](const Status& s, SimTime) {
         if (!s.ok()) {
-          free_disk(at, size);
+          free_extent(tier, at, size);
           (*done_ptr)(s);
           return;
         }
         mem::EntryLocation loc;
-        loc.tier = mem::Tier::kDisk;
+        loc.tier = tier;
         loc.stored_size = size;
         loc.disk_offset = at;
-        ++metrics_.counter("ldms.put_disk");
+        ++metrics_.counter(tier == mem::Tier::kNvm ? "ldms.put_nvm"
+                                                   : "ldms.put_disk");
         (*done_ptr)(loc);
       });
   if (!posted.ok()) {
-    free_disk(at, size);
-    ++metrics_.counter("ldms.put_disk_failed");
+    free_extent(tier, at, size);
+    if (!nvm) ++metrics_.counter("ldms.put_disk_failed");
     (*done_ptr)(posted);
   }
 }
@@ -637,81 +548,43 @@ void NodeService::spill_one(std::function<void(bool)> done) {
     done(false);
     return;
   }
-  auto bytes = std::make_shared<std::vector<std::byte>>(*size);
-  if (Status s = node_.shm().peek(owner, entry, *bytes); !s.ok()) {
+  auto stripe = std::make_shared<Rdmc::Stripe>();
+  stripe->payload.resize(*size);
+  if (Status s = node_.shm().peek(owner, entry, stripe->payload); !s.ok()) {
     done(false);
     return;
   }
-  if (rdmc_.config().ec_k > 0) {
-    // EC mode: stripe the spilled entry instead of replicating it, with
-    // the same stale re-check before committing.
-    ec_store(
-        owner, entry, *bytes,
-        [this, owner, entry, bytes, old = *old_loc,
-         done = std::move(done)](StatusOr<mem::EntryLocation> ec_loc) mutable {
-          if (!ec_loc.ok()) {
-            ++metrics_.counter("ldms.spill_failed");
-            done(false);
-            return;
-          }
-          Ldmc* live_client = client(owner);
-          auto current = live_client != nullptr
-                             ? live_client->map().lookup(entry)
-                             : NotFoundError("owner gone");
-          if (!current.ok() || current->tier != mem::Tier::kSharedMemory) {
-            rdmc_.free_replicas(std::move(ec_loc->replicas));
-            ++metrics_.counter("ldms.spill_stale");
-            done(node_.shm().contains(owner, entry) ? false : true);
-            return;
-          }
-          mem::EntryLocation loc = old;
-          loc.tier = mem::Tier::kRemote;
-          loc.replicas = std::move(ec_loc->replicas);
-          loc.ec_k = ec_loc->ec_k;
-          loc.ec_r = ec_loc->ec_r;
-          loc.shard_checksums = std::move(ec_loc->shard_checksums);
-          loc.degraded = ec_loc->degraded;
-          live_client->map().commit(entry, std::move(loc));
-          (void)node_.shm().remove(owner, entry);
-          ++metrics_.counter("ldms.spilled_to_remote");
-          done(true);
-        },
-        net::kNoTrace);
-    return;
-  }
-  rdmc_.put(owner, entry, *bytes,
-            [this, owner, entry, bytes, old = *old_loc,
-             done = std::move(done)](
-                StatusOr<std::vector<mem::RemoteReplica>> replicas) {
-              if (!replicas.ok()) {
-                ++metrics_.counter("ldms.spill_failed");
-                done(false);
-                return;
-              }
-              // Re-check: the owner may have removed or moved the entry
-              // while the replicated put was in flight — committing now
-              // would resurrect it with stale data and leak the blocks.
-              Ldmc* live_client = client(owner);
-              auto current = live_client != nullptr
-                                 ? live_client->map().lookup(entry)
-                                 : NotFoundError("owner gone");
-              if (!current.ok() ||
-                  current->tier != mem::Tier::kSharedMemory) {
-                rdmc_.free_replicas(*std::move(replicas));
-                ++metrics_.counter("ldms.spill_stale");
-                done(node_.shm().contains(owner, entry)
-                         ? false
-                         : true);  // space may already be free
-                return;
-              }
-              mem::EntryLocation loc = old;
-              loc.tier = mem::Tier::kRemote;
-              loc.replicas = *std::move(replicas);
-              live_client->map().commit(entry, std::move(loc));
-              (void)node_.shm().remove(owner, entry);
-              ++metrics_.counter("ldms.spilled_to_remote");
-              done(true);
-            });
+  store_remote(
+      owner, entry, stripe,
+      [this, owner, entry, stripe, old = *old_loc, done = std::move(done)](
+          StatusOr<std::vector<mem::RemoteReplica>> landed) mutable {
+        if (!landed.ok()) {
+          ++metrics_.counter("ldms.spill_failed");
+          done(false);
+          return;
+        }
+        // Re-check: the owner may have removed or moved the entry while the
+        // put was in flight — committing now would resurrect it with stale
+        // data and leak the blocks.
+        Ldmc* live_client = client(owner);
+        auto current = live_client != nullptr
+                           ? live_client->map().lookup(entry)
+                           : NotFoundError("owner gone");
+        if (!current.ok() || current->tier != mem::Tier::kSharedMemory) {
+          rdmc_.free_replicas(*std::move(landed));
+          ++metrics_.counter("ldms.spill_stale");
+          // Space may already be free.
+          done(!node_.shm().contains(owner, entry));
+          return;
+        }
+        mem::EntryLocation loc = std::move(old);
+        adopt_stripe(loc, *stripe, *std::move(landed));
+        live_client->map().commit(entry, std::move(loc));
+        (void)node_.shm().remove(owner, entry);
+        ++metrics_.counter("ldms.spilled_to_remote");
+        done(true);
+      },
+      net::kNoTrace);
 }
 
 // ---- get / remove paths -----------------------------------------------------
@@ -743,7 +616,7 @@ void NodeService::get_entry(cluster::ServerId server, mem::EntryId entry,
       return;
     }
     case mem::Tier::kRemote:
-      if (location.ec_k > 0) {
+      if (location.ec_k > 1) {
         get_entry_ec(location, offset, out, std::move(done), trace);
         return;
       }
@@ -794,15 +667,21 @@ void NodeService::remove_entry(cluster::ServerId server, mem::EntryId entry,
       return;
     }
     case mem::Tier::kRemote:
-      rdmc_.free_replicas(location.replicas, std::move(done), trace);
+      // The caller erased the map entry first: that is the commit point. A
+      // block whose host cannot be reached (crashed, partitioned) is counted
+      // here, not reported as a failure — a crashed host loses it anyway.
+      rdmc_.free_replicas(
+          location.replicas,
+          [this, done = std::move(done)](std::size_t unfreed) {
+            if (unfreed > 0)
+              metrics_.counter("ldms.remove_unfreed_blocks") += unfreed;
+            done(Status::Ok());
+          },
+          trace);
       return;
     case mem::Tier::kNvm:
-      free_nvm(location.disk_offset, location.stored_size);
-      node_.simulator().schedule_after(
-          0, [done = std::move(done)]() { done(Status::Ok()); });
-      return;
     case mem::Tier::kDisk:
-      free_disk(location.disk_offset, location.stored_size);
+      free_extent(location.tier, location.disk_offset, location.stored_size);
       node_.simulator().schedule_after(
           0, [done = std::move(done)]() { done(Status::Ok()); });
       return;
@@ -862,93 +741,32 @@ void NodeService::migrate_entry(cluster::ServerId server, mem::EntryId entry,
     ++metrics_.counter("ldms.migrate_stale");
     return;
   }
-  if (loc->ec_k > 0) {
-    // EC stripe: only the one shard hosted on `away_from` moves. Read it
-    // from the evicting node (still up — this is a drain, not a crash),
-    // restripe it onto a fresh node, then swap it into the committed set.
-    const std::size_t total =
-        static_cast<std::size_t>(loc->ec_k) + loc->ec_r;
-    const std::size_t shard_len =
-        ec::RsCodec::shard_size(loc->stored_size, loc->ec_k);
-    auto shard_bytes = std::make_shared<std::vector<std::byte>>(shard_len);
-    std::vector<net::NodeId> exclude;
-    for (const auto& replica : loc->replicas) exclude.push_back(replica.node);
-    const SimTime migrate_started = node_.simulator().now();
-    rdmc_.read(
-        {old_replica}, 0, *shard_bytes,
-        [this, server, entry, shard_bytes, survivors, old_replica, trace,
-         migrate_started, total, exclude = std::move(exclude),
-         base = *loc](const Status& s) mutable {
-          if (!s.ok()) {
-            ++metrics_.counter("ldms.migrate_read_failed");
-            return;
-          }
-          std::vector<Rdmc::ShardPayload> payload(1);
-          payload[0].shard = old_replica.shard;
-          payload[0].bytes = *shard_bytes;
-          rdmc_.put_shards(
-              server, entry, std::move(payload), /*min_needed=*/1,
-              [this, server, entry, survivors, old_replica, migrate_started,
-               total, base = std::move(base)](
-                  StatusOr<std::vector<mem::RemoteReplica>> fresh) mutable {
-                if (!fresh.ok()) {
-                  ++metrics_.counter("ldms.migrate_put_failed");
-                  return;
-                }
-                Ldmc* live_owner = client(server);
-                auto current = live_owner != nullptr
-                                   ? live_owner->map().lookup(entry)
-                                   : NotFoundError("owner gone");
-                // Re-check: the entry may have been removed, relocated or
-                // repaired while the copy was in flight. Committing `base`
-                // over a changed replica set would drop the current blocks
-                // and free one of them while live.
-                if (!current.ok() ||
-                    current->tier != mem::Tier::kRemote ||
-                    current->replicas != base.replicas) {
-                  rdmc_.free_replicas(*std::move(fresh));
-                  ++metrics_.counter("ldms.migrate_stale");
-                  return;
-                }
-                mem::EntryLocation updated = std::move(base);
-                updated.replicas = std::move(survivors);
-                for (auto& replica : *fresh)
-                  updated.replicas.push_back(replica);
-                updated.degraded = updated.replicas.size() < total;
-                live_owner->map().commit(entry, std::move(updated));
-                rdmc_.free_replicas({old_replica});
-                ++metrics_.counter("ldms.migrated_entries");
-                metrics_.histogram("cluster.migrate_ns")
-                    .record(static_cast<std::uint64_t>(
-                        node_.simulator().now() - migrate_started));
-              },
-              exclude, trace);
-        },
-        trace);
-    return;
-  }
-  // Read the entry (prefer a surviving replica; the evicting node is still
-  // up, so it serves as the last resort).
-  auto sources = survivors.empty()
-                     ? std::vector<mem::RemoteReplica>{old_replica}
-                     : survivors;
-  auto bytes = std::make_shared<std::vector<std::byte>>(loc->stored_size);
+  // Only the unit held on `away_from` moves. Any other holder of the same
+  // bytes serves as the source — with k = 1 every unit is a copy — else
+  // `away_from` itself (still up: this is a drain, not a crash).
+  std::vector<mem::RemoteReplica> sources;
+  if (loc->ec_k <= 1) sources = survivors;
+  if (sources.empty()) sources.push_back(old_replica);
+  auto stripe = std::make_shared<Rdmc::Stripe>();
+  stripe->payload.resize(unit_size(*loc));
   std::vector<net::NodeId> exclude;
   for (const auto& replica : loc->replicas) exclude.push_back(replica.node);
   const SimTime migrate_started = node_.simulator().now();
   rdmc_.read(
-      sources, 0, *bytes,
-      [this, server, entry, bytes, survivors, old_replica, trace,
-       migrate_started, exclude = std::move(exclude),
+      sources, 0, stripe->payload,
+      [this, server, entry, stripe, survivors = std::move(survivors),
+       old_replica, trace, migrate_started, exclude = std::move(exclude),
        base = *loc](const Status& s) mutable {
         if (!s.ok()) {
           ++metrics_.counter("ldms.migrate_read_failed");
           return;
         }
         rdmc_.put(
-            server, entry, *bytes,
-            [this, server, entry, bytes, survivors, old_replica,
-             migrate_started, base = std::move(base)](
+            server, entry, stripe,
+            std::span<const std::uint32_t>(&old_replica.shard, 1),
+            /*min_needed=*/1,
+            [this, server, entry, survivors = std::move(survivors),
+             old_replica, migrate_started, base = std::move(base)](
                 StatusOr<std::vector<mem::RemoteReplica>> fresh) mutable {
               if (!fresh.ok()) {
                 ++metrics_.counter("ldms.migrate_put_failed");
@@ -956,9 +774,10 @@ void NodeService::migrate_entry(cluster::ServerId server, mem::EntryId entry,
               }
               Ldmc* live_owner = client(server);
               // Re-check: the entry may have been removed, relocated or
-              // repaired while the migration was in flight — never
-              // resurrect it, and never commit over a replica set other
-              // than the one that was copied.
+              // repaired while the copy was in flight — never resurrect it,
+              // and never commit over a holder set other than the one that
+              // was copied (that would drop the current blocks and free one
+              // of them while live).
               auto current = live_owner != nullptr
                                  ? live_owner->map().lookup(entry)
                                  : NotFoundError("owner gone");
@@ -970,8 +789,9 @@ void NodeService::migrate_entry(cluster::ServerId server, mem::EntryId entry,
               }
               mem::EntryLocation updated = std::move(base);
               updated.replicas = std::move(survivors);
-              for (auto& replica : *fresh)
-                updated.replicas.push_back(replica);
+              for (auto& replica : *fresh) updated.replicas.push_back(replica);
+              updated.degraded =
+                  updated.replicas.size() < updated.total_units();
               live_owner->map().commit(entry, std::move(updated));
               rdmc_.free_replicas({old_replica});
               ++metrics_.counter("ldms.migrated_entries");
@@ -979,7 +799,7 @@ void NodeService::migrate_entry(cluster::ServerId server, mem::EntryId entry,
                   .record(static_cast<std::uint64_t>(
                       node_.simulator().now() - migrate_started));
             },
-            exclude, /*count=*/1, trace);
+            exclude, trace);
       },
       trace);
 }
@@ -1099,83 +919,22 @@ void NodeService::repair_after_node_down(net::NodeId dead) {
         if (replica.node != dead &&
             node_.fabric().node_up(replica.node))
           survivors.push_back(replica);
-      if (loc->ec_k > 0) {
-        // EC stripe: readable while >= k shards survive. Degrade the
-        // committed set so reads stop touching the dead host, then let
-        // repair_entry re-encode the lost shards onto fresh nodes.
-        const std::size_t total =
-            static_cast<std::size_t>(loc->ec_k) + loc->ec_r;
-        if (survivors.size() < loc->ec_k) {
-          ++data_loss_;
-          ++metrics_.counter("ldms.repair_data_loss");
-          continue;
-        }
-        mem::EntryLocation degraded = *loc;
-        degraded.replicas = std::move(survivors);
-        degraded.degraded = degraded.replicas.size() < total;
-        owner->map().commit(entry, degraded);
-        const auto server_id = server;
-        node_.simulator().schedule_after(0, [this, server_id, entry]() {
-          repair_entry(server_id, entry, [](const Status&) {});
-        });
-        continue;
-      }
-      if (survivors.empty()) {
+      // A stripe stays readable while >= k units survive.
+      if (survivors.size() < loc->ec_k) {
         ++data_loss_;
         ++metrics_.counter("ldms.repair_data_loss");
         continue;
       }
-      // Degrade the committed location first so reads stop touching the
-      // dead replica, then top the factor back up asynchronously.
-      mem::EntryLocation degraded = *loc;
-      degraded.replicas = survivors;
-      degraded.degraded = survivors.size() < config_.rdmc.replication;
-      owner->map().commit(entry, degraded);
-
-      std::vector<net::NodeId> exclude;
-      for (const auto& replica : survivors) exclude.push_back(replica.node);
-      exclude.push_back(dead);
-      auto bytes = std::make_shared<std::vector<std::byte>>(loc->stored_size);
+      // Degrade the committed set first so reads stop touching the dead
+      // host, then let repair_entry rebuild the lost units onto fresh nodes.
+      mem::EntryLocation degraded = *std::move(loc);
+      degraded.replicas = std::move(survivors);
+      degraded.degraded = degraded.replicas.size() < degraded.total_units();
+      owner->map().commit(entry, std::move(degraded));
       const auto server_id = server;
-      rdmc_.read(
-          survivors, 0, *bytes,
-          [this, server_id, entry, bytes, survivors,
-           exclude = std::move(exclude), base = degraded](
-              const Status& s) mutable {
-            if (!s.ok()) {
-              ++metrics_.counter("ldms.repair_read_failed");
-              return;
-            }
-            rdmc_.put(
-                server_id, entry, *bytes,
-                [this, server_id, entry, bytes, survivors,
-                 base = std::move(base)](
-                    StatusOr<std::vector<mem::RemoteReplica>> fresh) mutable {
-                  if (!fresh.ok()) {
-                    ++metrics_.counter("ldms.repair_put_failed");
-                    return;
-                  }
-                  Ldmc* live_owner = client(server_id);
-                  if (live_owner == nullptr) return;
-                  // Re-check: the entry may have moved since the repair
-                  // started (e.g. removed by the application).
-                  auto current = live_owner->map().lookup(entry);
-                  if (!current.ok() ||
-                      current->tier != mem::Tier::kRemote) {
-                    rdmc_.free_replicas(*std::move(fresh));
-                    return;
-                  }
-                  mem::EntryLocation updated = std::move(base);
-                  updated.replicas = survivors;
-                  for (auto& replica : *fresh)
-                    updated.replicas.push_back(replica);
-                  updated.degraded =
-                      updated.replicas.size() < config_.rdmc.replication;
-                  live_owner->map().commit(entry, std::move(updated));
-                  ++metrics_.counter("ldms.repaired_entries");
-                },
-                exclude, /*count=*/1);
-          });
+      node_.simulator().schedule_after(0, [this, server_id, entry]() {
+        repair_entry(server_id, entry, [](const Status&) {});
+      });
     }
   }
 }
@@ -1188,21 +947,17 @@ void NodeService::invalidate_replicas_on(net::NodeId host) {
       std::vector<mem::RemoteReplica> survivors;
       for (const auto& replica : loc->replicas)
         if (replica.node != host) survivors.push_back(replica);
-      // EC entries stay readable down to ec_k surviving shards; whole-copy
-      // replication down to a single replica. Below that floor the
-      // rebooted node held the last usable bytes: genuine data loss.
-      const std::size_t floor = loc->ec_k > 0 ? loc->ec_k : 1;
-      const std::size_t target =
-          loc->ec_k > 0 ? static_cast<std::size_t>(loc->ec_k) + loc->ec_r
-                        : config_.rdmc.replication;
-      if (survivors.size() < floor) {
+      // A stripe stays readable down to k surviving units (one, for
+      // copies). Below that floor the rebooted node held the last usable
+      // bytes: genuine data loss.
+      if (survivors.size() < loc->ec_k) {
         ++data_loss_;
         ++metrics_.counter("ldms.repair_data_loss");
         continue;
       }
-      mem::EntryLocation updated = *loc;
+      mem::EntryLocation updated = *std::move(loc);
       updated.replicas = std::move(survivors);
-      updated.degraded = updated.replicas.size() < target;
+      updated.degraded = updated.replicas.size() < updated.total_units();
       owner.map().commit(entry, std::move(updated));
       ++metrics_.counter("ldms.replicas_invalidated");
     }
@@ -1222,169 +977,55 @@ void NodeService::repair_entry(cluster::ServerId server, mem::EntryId entry,
     done(loc.status());
     return;
   }
-  const std::size_t factor = config_.rdmc.replication;
-
-  if (loc->tier == mem::Tier::kRemote && loc->ec_k > 0) {
-    repair_entry_ec(server, entry, *loc, std::move(done), trace);
-    return;
-  }
-
-  if ((loc->tier == mem::Tier::kDisk || loc->tier == mem::Tier::kNvm) &&
-      loc->degraded && rdmc_.config().ec_k > 0) {
-    // EC mode's disk-fallback re-promotion: read the device copy, stripe
-    // it, and release the extent — the EC analogue of the replicated
-    // promote path below.
-    auto bytes = std::make_shared<std::vector<std::byte>>(loc->stored_size);
-    get_entry(
-        server, entry, *loc, 0, *bytes,
-        [this, server, entry, bytes, old = *loc,
-         done = std::move(done), trace](const Status& s) mutable {
-          if (!s.ok()) {
-            ++metrics_.counter("ldms.repair_read_failed");
-            done(s);
-            return;
-          }
-          ec_store(
-              server, entry, *bytes,
-              [this, server, entry, bytes, old = std::move(old),
-               done = std::move(done)](
-                  StatusOr<mem::EntryLocation> ec_loc) mutable {
-                if (!ec_loc.ok()) {
-                  ++metrics_.counter("ldms.repair_put_failed");
-                  done(ec_loc.status());
-                  return;
-                }
-                Ldmc* live_owner = client(server);
-                auto current = live_owner != nullptr
-                                   ? live_owner->map().lookup(entry)
-                                   : NotFoundError("owner gone");
-                if (!current.ok() || current->tier != old.tier ||
-                    current->disk_offset != old.disk_offset) {
-                  rdmc_.free_replicas(std::move(ec_loc->replicas));
-                  ++metrics_.counter("ldms.repair_stale");
-                  done(Status::Ok());
-                  return;
-                }
-                const mem::Tier old_tier = old.tier;
-                const std::uint64_t extent = old.disk_offset;
-                mem::EntryLocation updated = std::move(old);
-                updated.tier = mem::Tier::kRemote;
-                updated.replicas = std::move(ec_loc->replicas);
-                updated.ec_k = ec_loc->ec_k;
-                updated.ec_r = ec_loc->ec_r;
-                updated.shard_checksums =
-                    std::move(ec_loc->shard_checksums);
-                updated.degraded = ec_loc->degraded;
-                updated.disk_offset = 0;
-                const std::uint32_t stored = updated.stored_size;
-                live_owner->map().commit(entry, std::move(updated));
-                if (old_tier == mem::Tier::kNvm)
-                  free_nvm(extent, stored);
-                else
-                  free_disk(extent, stored);
-                ++metrics_.counter("ldms.promoted_from_disk");
-                done(Status::Ok());
-              },
-              trace);
-        },
-        trace);
-    return;
-  }
 
   if (loc->tier == mem::Tier::kRemote) {
-    // Prune replicas whose hosts are down, then top back up to the factor.
+    // Prune units whose hosts are down, then rebuild the missing ones.
     std::vector<mem::RemoteReplica> survivors;
     for (const auto& replica : loc->replicas)
       if (node_.fabric().node_up(replica.node)) survivors.push_back(replica);
-    if (survivors.empty()) {
+    if (survivors.size() < loc->ec_k) {
       ++data_loss_;
       ++metrics_.counter("ldms.repair_data_loss");
-      done(DataLossError("no live replica to repair from"));
+      done(DataLossError("fewer than k units survive"));
       return;
     }
     mem::EntryLocation pruned = *loc;
-    pruned.replicas = survivors;
-    pruned.degraded = survivors.size() < factor;
+    pruned.replicas = std::move(survivors);
+    pruned.degraded = pruned.replicas.size() < pruned.total_units();
     if (pruned.replicas.size() != loc->replicas.size() ||
         pruned.degraded != loc->degraded)
       owner->map().commit(entry, pruned);
-    if (survivors.size() >= factor) {
+    if (pruned.replicas.size() >= pruned.total_units()) {
       done(Status::Ok());
       return;
     }
-    const std::size_t missing = factor - survivors.size();
-    std::vector<net::NodeId> exclude;
-    for (const auto& replica : loc->replicas) exclude.push_back(replica.node);
-    auto bytes = std::make_shared<std::vector<std::byte>>(loc->stored_size);
-    rdmc_.read(
-        survivors, 0, *bytes,
-        [this, server, entry, bytes, survivors, missing,
-         exclude = std::move(exclude), base = std::move(pruned), factor,
-         done = std::move(done), trace](const Status& s) mutable {
-          if (!s.ok()) {
-            ++metrics_.counter("ldms.repair_read_failed");
-            done(s);
-            return;
-          }
-          rdmc_.put(
-              server, entry, *bytes,
-              [this, server, entry, bytes, survivors, base = std::move(base),
-               factor, done = std::move(done)](
-                  StatusOr<std::vector<mem::RemoteReplica>> fresh) mutable {
-                if (!fresh.ok()) {
-                  ++metrics_.counter("ldms.repair_put_failed");
-                  done(fresh.status());
-                  return;
-                }
-                Ldmc* live_owner = client(server);
-                // Re-check before committing: never resurrect an entry the
-                // application removed or moved while the repair ran.
-                auto current = live_owner != nullptr
-                                   ? live_owner->map().lookup(entry)
-                                   : NotFoundError("owner gone");
-                if (!current.ok() || current->tier != mem::Tier::kRemote) {
-                  rdmc_.free_replicas(*std::move(fresh));
-                  ++metrics_.counter("ldms.repair_stale");
-                  done(Status::Ok());
-                  return;
-                }
-                mem::EntryLocation updated = std::move(base);
-                updated.replicas = survivors;
-                for (auto& replica : *fresh)
-                  updated.replicas.push_back(replica);
-                updated.degraded = updated.replicas.size() < factor;
-                live_owner->map().commit(entry, std::move(updated));
-                ++metrics_.counter("ldms.repaired_entries");
-                done(Status::Ok());
-              },
-              exclude, missing, trace);
-        },
-        trace);
+    repair_stripe(server, entry, std::move(pruned), std::move(done), trace);
     return;
   }
 
   if ((loc->tier == mem::Tier::kDisk || loc->tier == mem::Tier::kNvm) &&
       loc->degraded) {
-    // Disk-fallback entry: re-promote to remote memory at the full factor,
+    // Disk-fallback entry: re-promote it to remote memory as a full stripe,
     // then release the device extent.
-    auto bytes = std::make_shared<std::vector<std::byte>>(loc->stored_size);
+    auto stripe = std::make_shared<Rdmc::Stripe>();
+    stripe->payload.resize(loc->stored_size);
     get_entry(
-        server, entry, *loc, 0, *bytes,
-        [this, server, entry, bytes, old = *loc, factor,
-         done = std::move(done), trace](const Status& s) mutable {
+        server, entry, *loc, 0, stripe->payload,
+        [this, server, entry, stripe, old = *loc, done = std::move(done),
+         trace](const Status& s) mutable {
           if (!s.ok()) {
             ++metrics_.counter("ldms.repair_read_failed");
             done(s);
             return;
           }
-          rdmc_.put(
-              server, entry, *bytes,
-              [this, server, entry, bytes, old = std::move(old), factor,
+          store_remote(
+              server, entry, stripe,
+              [this, server, entry, stripe, old = std::move(old),
                done = std::move(done)](
-                  StatusOr<std::vector<mem::RemoteReplica>> fresh) mutable {
-                if (!fresh.ok()) {
+                  StatusOr<std::vector<mem::RemoteReplica>> landed) mutable {
+                if (!landed.ok()) {
                   ++metrics_.counter("ldms.repair_put_failed");
-                  done(fresh.status());
+                  done(landed.status());
                   return;
                 }
                 Ldmc* live_owner = client(server);
@@ -1395,28 +1036,18 @@ void NodeService::repair_entry(cluster::ServerId server, mem::EntryId entry,
                 // extent the bytes were read from.
                 if (!current.ok() || current->tier != old.tier ||
                     current->disk_offset != old.disk_offset) {
-                  rdmc_.free_replicas(*std::move(fresh));
+                  rdmc_.free_replicas(*std::move(landed));
                   ++metrics_.counter("ldms.repair_stale");
                   done(Status::Ok());
                   return;
                 }
-                const mem::Tier old_tier = old.tier;
-                const std::uint64_t extent = old.disk_offset;
-                mem::EntryLocation updated = std::move(old);
-                updated.tier = mem::Tier::kRemote;
-                updated.replicas = *std::move(fresh);
-                updated.degraded = updated.replicas.size() < factor;
-                updated.disk_offset = 0;
-                const std::uint32_t stored = updated.stored_size;
-                live_owner->map().commit(entry, std::move(updated));
-                if (old_tier == mem::Tier::kNvm)
-                  free_nvm(extent, stored);
-                else
-                  free_disk(extent, stored);
+                free_extent(old.tier, old.disk_offset, old.stored_size);
+                adopt_stripe(old, *stripe, *std::move(landed));
+                live_owner->map().commit(entry, std::move(old));
                 ++metrics_.counter("ldms.promoted_from_disk");
                 done(Status::Ok());
               },
-              /*exclude=*/{}, /*count=*/0, trace);
+              trace);
         },
         trace);
     return;
@@ -1426,178 +1057,159 @@ void NodeService::repair_entry(cluster::ServerId server, mem::EntryId entry,
   done(Status::Ok());
 }
 
-void NodeService::repair_entry_ec(cluster::ServerId server,
-                                  mem::EntryId entry,
-                                  const mem::EntryLocation& loc,
-                                  DoneCallback done, net::TraceId trace) {
-  const std::size_t k = loc.ec_k;
-  const std::size_t total = k + loc.ec_r;
-  std::vector<mem::RemoteReplica> survivors;
-  for (const auto& replica : loc.replicas)
-    if (node_.fabric().node_up(replica.node)) survivors.push_back(replica);
-  if (survivors.size() < k) {
-    ++data_loss_;
-    ++metrics_.counter("ldms.repair_data_loss");
-    done(DataLossError("fewer than k shards survive"));
-    return;
-  }
-  Ldmc* owner = client(server);
-  if (owner == nullptr) {
-    done(NotFoundError("unknown server"));
-    return;
-  }
-  mem::EntryLocation pruned = loc;
-  pruned.replicas = survivors;
-  pruned.degraded = survivors.size() < total;
-  if (pruned.replicas.size() != loc.replicas.size() ||
-      pruned.degraded != loc.degraded)
-    owner->map().commit(entry, pruned);
-  if (survivors.size() == total) {
-    done(Status::Ok());
-    return;
-  }
-
-  // Pull all surviving shards, reconstruct the lost ones, and stripe them
-  // onto fresh nodes. Partial success is fine (min_needed = 1): every
-  // landed shard strictly improves durability and the next scan retries.
-  const std::size_t shard_len = ec::RsCodec::shard_size(loc.stored_size, k);
-  struct EcRepair {
+void NodeService::repair_stripe(cluster::ServerId server, mem::EntryId entry,
+                                mem::EntryLocation base, DoneCallback done,
+                                net::TraceId trace) {
+  const std::size_t k = base.ec_k;
+  const std::size_t total = base.total_units();
+  struct Repair : std::enable_shared_from_this<Repair> {
     NodeService* self = nullptr;
     cluster::ServerId server = 0;
     mem::EntryId entry = 0;
     mem::EntryLocation base;  // pruned committed state
-    std::vector<std::vector<std::byte>> shards;
+    std::vector<std::uint32_t> missing;
+    std::vector<net::NodeId> exclude;  // every surviving holder
+    std::shared_ptr<Rdmc::Stripe> stripe;
     std::size_t pending = 0;
     DoneCallback done;
     net::TraceId trace = net::kNoTrace;
+
+    // Places the rebuilt units (partial success is fine: every landed unit
+    // strictly improves durability and the next scan retries the rest),
+    // then merges them into the current committed set.
+    void place() {
+      self->rdmc_.put(
+          server, entry, stripe, missing, /*min_needed=*/1,
+          [st = shared_from_this()](
+              StatusOr<std::vector<mem::RemoteReplica>> fresh) {
+            st->merge(std::move(fresh));
+          },
+          exclude, trace);
+    }
+
+    void merge(StatusOr<std::vector<mem::RemoteReplica>> fresh) {
+      if (!fresh.ok()) {
+        ++self->metrics_.counter("ldms.repair_put_failed");
+        done(fresh.status());
+        return;
+      }
+      Ldmc* live_owner = self->client(server);
+      // Stale re-check: never resurrect a removed or relocated entry with
+      // freshly minted units.
+      auto current = live_owner != nullptr
+                         ? live_owner->map().lookup(entry)
+                         : NotFoundError("owner gone");
+      if (!current.ok() || current->tier != mem::Tier::kRemote ||
+          current->ec_k != base.ec_k) {
+        self->rdmc_.free_replicas(*std::move(fresh));
+        ++self->metrics_.counter("ldms.repair_stale");
+        done(Status::Ok());
+        return;
+      }
+      // Merge by unit index against the *current* committed set (a
+      // concurrent repair or migration may have added units): the
+      // surviving-unit count never decreases, duplicates are freed.
+      mem::EntryLocation updated = *std::move(current);
+      std::size_t appended = 0;
+      for (auto& replica : *fresh) {
+        bool duplicate = false;
+        for (const auto& held : updated.replicas)
+          if (held.shard == replica.shard) duplicate = true;
+        if (duplicate) {
+          self->rdmc_.free_replicas({replica});
+          continue;
+        }
+        updated.replicas.push_back(replica);
+        ++appended;
+      }
+      updated.degraded = updated.replicas.size() < updated.total_units();
+      live_owner->map().commit(entry, std::move(updated));
+      if (base.ec_k > 1)
+        self->metrics_.counter("ec.shards_repaired") += appended;
+      ++self->metrics_.counter("ldms.repaired_entries");
+      done(Status::Ok());
+    }
+
+    // k > 1: checksum-gates the surviving units (a corrupted one must not
+    // contaminate the rebuilt ones), reconstructs the lost ones in place and
+    // charges the decode before placing them.
+    void rebuild() {
+      auto& units = stripe->units;
+      std::size_t present = 0;
+      for (std::size_t i = 0; i < units.size(); ++i) {
+        if (units[i].empty()) continue;
+        if (i < base.shard_checksums.size() &&
+            fnv1a(units[i]) != base.shard_checksums[i]) {
+          units[i].clear();
+          ++self->metrics_.counter("ec.corrupt_shards");
+          continue;
+        }
+        ++present;
+      }
+      if (present < base.ec_k) {
+        ++self->metrics_.counter("ldms.repair_read_failed");
+        done(DataLossError("fewer than k shards readable for repair"));
+        return;
+      }
+      std::optional<ec::RsCodec> scratch;
+      auto codec = self->codec_for(base, scratch);
+      Status rec = codec.ok() ? (*codec)->reconstruct(units) : codec.status();
+      if (!rec.ok()) {
+        done(rec);
+        return;
+      }
+      const SimTime cost = self->config_.ec_decode_cost.cost(base.stored_size);
+      self->metrics_.histogram("ec.decode_ns")
+          .record(static_cast<std::uint64_t>(cost));
+      self->node_.simulator().schedule_after(
+          cost, [st = shared_from_this()]() { st->place(); });
+    }
   };
-  auto st = std::make_shared<EcRepair>();
+  auto st = std::make_shared<Repair>();
   st->self = this;
   st->server = server;
   st->entry = entry;
-  st->base = std::move(pruned);
-  st->shards.assign(total, {});
+  st->base = std::move(base);
+  st->stripe = std::make_shared<Rdmc::Stripe>();
   st->done = std::move(done);
   st->trace = trace;
-
-  auto reencode = [st, k, total, shard_len]() {
-    NodeService* self = st->self;
-    std::size_t present = 0;
-    // Same checksum gate as degraded reads: a corrupted surviving shard
-    // must not contaminate the rebuilt ones.
-    for (std::size_t i = 0; i < total; ++i) {
-      if (st->shards[i].empty()) continue;
-      if (i < st->base.shard_checksums.size() &&
-          fnv1a(st->shards[i]) != st->base.shard_checksums[i]) {
-        st->shards[i].clear();
-        ++self->metrics_.counter("ec.corrupt_shards");
-        continue;
-      }
-      ++present;
-    }
-    if (present < k) {
-      ++self->metrics_.counter("ldms.repair_read_failed");
-      st->done(DataLossError("fewer than k shards readable for repair"));
-      return;
-    }
-    auto rebuilt = st->shards;
-    Status rec = [&]() {
-      if (self->codec_ && self->codec_->k() == k &&
-          self->codec_->r() == total - k)
-        return self->codec_->reconstruct(rebuilt);
-      auto codec = ec::RsCodec::make(k, total - k);
-      if (!codec.ok()) return codec.status();
-      return codec->reconstruct(rebuilt);
-    }();
-    if (!rec.ok()) {
-      st->done(rec);
-      return;
-    }
-    // Reconstruction is a decode: charge the codec cost before fan-out.
-    const SimTime cost =
-        self->config_.ec_decode_cost.cost(st->base.stored_size);
-    self->metrics_.histogram("ec.decode_ns")
-        .record(static_cast<std::uint64_t>(cost));
-    std::vector<Rdmc::ShardPayload> missing;
-    for (std::size_t i = 0; i < total; ++i) {
-      bool held = false;
-      for (const auto& replica : st->base.replicas)
-        if (replica.shard == i) held = true;
-      if (held) continue;
-      Rdmc::ShardPayload payload;
-      payload.shard = static_cast<std::uint32_t>(i);
-      payload.bytes = std::move(rebuilt[i]);
-      missing.push_back(std::move(payload));
-    }
-    if (missing.empty()) {
-      st->done(Status::Ok());
-      return;
-    }
-    std::vector<net::NodeId> exclude;
+  for (const auto& replica : st->base.replicas)
+    st->exclude.push_back(replica.node);
+  for (std::uint32_t unit = 0; unit < total; ++unit) {
+    bool held = false;
     for (const auto& replica : st->base.replicas)
-      exclude.push_back(replica.node);
-    self->node_.simulator().schedule_after(
-        cost, [st, total, missing = std::move(missing),
-               exclude = std::move(exclude)]() mutable {
-          st->self->rdmc_.put_shards(
-              st->server, st->entry, std::move(missing), /*min_needed=*/1,
-              [st, total](
-                  StatusOr<std::vector<mem::RemoteReplica>> fresh) mutable {
-                NodeService* svc = st->self;
-                if (!fresh.ok()) {
-                  ++svc->metrics_.counter("ldms.repair_put_failed");
-                  st->done(fresh.status());
-                  return;
-                }
-                Ldmc* live_owner = svc->client(st->server);
-                // Stale re-check: never resurrect a removed or relocated
-                // entry with freshly-minted shards.
-                auto current = live_owner != nullptr
-                                   ? live_owner->map().lookup(st->entry)
-                                   : NotFoundError("owner gone");
-                if (!current.ok() ||
-                    current->tier != mem::Tier::kRemote ||
-                    current->ec_k != st->base.ec_k) {
-                  svc->rdmc_.free_replicas(*std::move(fresh));
-                  ++svc->metrics_.counter("ldms.repair_stale");
-                  st->done(Status::Ok());
-                  return;
-                }
-                // Merge by shard index against the *current* committed set
-                // (a concurrent repair/migration may have added shards):
-                // the surviving-shard count never decreases, duplicates
-                // are freed.
-                mem::EntryLocation updated = *std::move(current);
-                std::size_t appended = 0;
-                for (auto& replica : *fresh) {
-                  bool duplicate = false;
-                  for (const auto& held : updated.replicas)
-                    if (held.shard == replica.shard) duplicate = true;
-                  if (duplicate) {
-                    svc->rdmc_.free_replicas({replica});
-                    continue;
-                  }
-                  updated.replicas.push_back(replica);
-                  ++appended;
-                }
-                updated.degraded = updated.replicas.size() < total;
-                live_owner->map().commit(st->entry, std::move(updated));
-                svc->metrics_.counter("ec.shards_repaired") += appended;
-                ++svc->metrics_.counter("ldms.repaired_entries");
-                st->done(Status::Ok());
-              },
-              exclude, st->trace);
-        });
-  };
+      if (replica.shard == unit) held = true;
+    if (!held) st->missing.push_back(unit);
+  }
 
+  if (k <= 1) {
+    // Every unit is a copy: read the payload from any survivor.
+    st->stripe->payload.resize(st->base.stored_size);
+    rdmc_.read(
+        st->base.replicas, 0, st->stripe->payload,
+        [st](const Status& s) {
+          if (!s.ok()) {
+            ++st->self->metrics_.counter("ldms.repair_read_failed");
+            st->done(s);
+            return;
+          }
+          st->place();
+        },
+        trace);
+    return;
+  }
+  // Pull every surviving unit in full, in parallel; a failed read leaves
+  // its slot empty and the rebuild proceeds from whatever >= k arrive.
+  const std::size_t len = unit_size(st->base);
+  st->stripe->units.assign(total, {});
   st->pending = st->base.replicas.size();
   for (const auto& replica : st->base.replicas) {
-    st->shards[replica.shard].resize(shard_len);
+    st->stripe->units[replica.shard].resize(len);
     rdmc_.read(
-        {replica}, 0, st->shards[replica.shard],
-        [st, shard = replica.shard, reencode](const Status& s) {
-          if (!s.ok()) st->shards[shard].clear();
-          if (--st->pending == 0) reencode();
+        {replica}, 0, st->stripe->units[replica.shard],
+        [st, unit = replica.shard](const Status& s) {
+          if (!s.ok()) st->stripe->units[unit].clear();
+          if (--st->pending == 0) st->rebuild();
         },
         trace);
   }
@@ -1611,15 +1223,7 @@ void NodeService::repair_entry_ec(cluster::ServerId server,
 // that goes quiet for more than a window reports zero (stale demand must
 // not repel placements forever).
 void NodeService::note_pressure() {
-  const SimTime now = node_.simulator().now();
-  if (now - pressure_window_start_ >= config_.pressure_window) {
-    const bool adjacent =
-        now - pressure_window_start_ < 2 * config_.pressure_window;
-    pressure_last_ = adjacent ? pressure_accum_ : 0;
-    pressure_accum_ = 0;
-    pressure_window_start_ =
-        now - (now - pressure_window_start_) % config_.pressure_window;
-  }
+  (void)pressure();
   ++pressure_accum_;
 }
 
@@ -1780,9 +1384,15 @@ std::uint32_t NodeService::disk_class(std::uint32_t size) noexcept {
   return cls;
 }
 
-StatusOr<std::uint64_t> NodeService::alloc_extent(DiskExtents& extents,
-                                                  std::uint64_t capacity,
+StatusOr<std::uint64_t> NodeService::alloc_extent(mem::Tier tier,
                                                   std::uint32_t size) {
+  if (tier == mem::Tier::kNvm && node_.nvm() == nullptr)
+    return FailedPreconditionError("no NVM tier on this node");
+  DiskExtents& extents =
+      tier == mem::Tier::kNvm ? nvm_extents_ : disk_extents_;
+  const std::uint64_t capacity = tier == mem::Tier::kNvm
+                                     ? node_.nvm()->capacity()
+                                     : node_.disk().capacity();
   const std::uint32_t cls = disk_class(size);
   auto& free_list = extents.free_by_class[cls];
   if (!free_list.empty()) {
@@ -1797,22 +1407,11 @@ StatusOr<std::uint64_t> NodeService::alloc_extent(DiskExtents& extents,
   return offset;
 }
 
-StatusOr<std::uint64_t> NodeService::alloc_disk(std::uint32_t size) {
-  return alloc_extent(disk_extents_, node_.disk().capacity(), size);
-}
-
-void NodeService::free_disk(std::uint64_t offset, std::uint32_t size) {
-  disk_extents_.free_by_class[disk_class(size)].push_back(offset);
-}
-
-StatusOr<std::uint64_t> NodeService::alloc_nvm(std::uint32_t size) {
-  if (node_.nvm() == nullptr)
-    return FailedPreconditionError("no NVM tier on this node");
-  return alloc_extent(nvm_extents_, node_.nvm()->capacity(), size);
-}
-
-void NodeService::free_nvm(std::uint64_t offset, std::uint32_t size) {
-  nvm_extents_.free_by_class[disk_class(size)].push_back(offset);
+void NodeService::free_extent(mem::Tier tier, std::uint64_t offset,
+                              std::uint32_t size) {
+  DiskExtents& extents =
+      tier == mem::Tier::kNvm ? nvm_extents_ : disk_extents_;
+  extents.free_by_class[disk_class(size)].push_back(offset);
 }
 
 }  // namespace dm::core

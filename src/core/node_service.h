@@ -10,11 +10,11 @@
 //    route overflow to remote memory via the RDMC, and fall back to the
 //    local swap disk when the cluster has no room (§IV.B);
 //  * the get path: serve from whichever tier the entry's committed map
-//    location names, with replica failover;
+//    location names, failing over across the stripe's units;
 //  * eviction notices from remote RDMSes draining a slab (§IV.F): migrate
 //    the named entries to new hosts, then free the old blocks;
-//  * failure repair (§IV.D): when membership declares a node dead, restore
-//    the replication factor of every local entry that had a replica there;
+//  * failure repair (§IV.D): when membership declares a node dead, rebuild
+//    the units every local entry's stripe had there;
 //  * the eviction monitor (§IV.F policies 1 and 2): watermark-triggered
 //    preemptive slab deregistration and ballooning advice for servers that
 //    hit disaggregated memory too often.
@@ -84,8 +84,8 @@ class NodeService {
     // puts + non-shm gets) is counted. The last full window's count is
     // what heartbeats advertise and load-aware placement discounts by.
     SimTime pressure_window = 1 * kSecond;
-    // Virtual-time CPU cost of the Reed–Solomon codec when rdmc.ec_k > 0
-    // (Hydra-style EC). The codec itself is pure computation, so its cost
+    // Virtual-time CPU cost of the Reed–Solomon codec for coded stripes
+    // (rdmc.ec_k > 0, Hydra-style EC). The codec itself is pure computation, so its cost
     // is modeled as latency here: encode on every remote put, decode on
     // degraded reads and shard reconstruction. Defaults approximate a
     // table-driven GF(2^8) software codec on one core.
@@ -135,6 +135,9 @@ class NodeService {
                  const mem::EntryLocation& location, std::uint64_t offset,
                  std::span<std::byte> out, DoneCallback done,
                  net::TraceId trace = net::kNoTrace);
+  // Releases the storage of an entry the caller already erased from its
+  // map (the commit point). Remote blocks whose hosts cannot be reached are
+  // counted in "ldms.remove_unfreed_blocks"; the remove still succeeds.
   void remove_entry(cluster::ServerId server, mem::EntryId entry,
                     const mem::EntryLocation& location, DoneCallback done,
                     net::TraceId trace = net::kNoTrace);
@@ -149,16 +152,15 @@ class NodeService {
   void eviction_tick();
 
   // Restores one entry to its intended placement (§IV.D hardening): prunes
-  // replicas on dead hosts, tops a short remote replica set back up to the
-  // replication factor, and re-promotes degraded device-tier entries to
-  // remote memory. No-op for healthy entries. Driven by the RepairService;
+  // units on dead hosts, rebuilds a short stripe's missing units onto fresh
+  // nodes, and re-promotes degraded device-tier entries to remote memory. No-op for healthy entries. Driven by the RepairService;
   // exposed for targeted recovery tests.
   void repair_entry(cluster::ServerId server, mem::EntryId entry,
                     DoneCallback done, net::TraceId trace = net::kNoTrace);
 
   // A crashed node that reboots loses its DRAM, so every replica the
   // cluster still lists on it is dead even though the host is up again.
-  // Drops those replicas from all local maps and marks the entries degraded
+  // Drops those units from all local maps and marks the entries degraded
   // for the repair service (called by DmSystem::recover_node before the
   // node rejoins the fabric).
   void invalidate_replicas_on(net::NodeId host);
@@ -194,58 +196,67 @@ class NodeService {
     std::map<std::uint32_t, std::vector<std::uint64_t>> free_by_class;
   };
 
-  [[nodiscard]] StatusOr<std::uint64_t> alloc_extent(DiskExtents& extents,
-                                       std::uint64_t capacity,
-                                       std::uint32_t size);
+  // Size-class extents on a device tier (kDisk or kNvm).
+  [[nodiscard]] StatusOr<std::uint64_t> alloc_extent(mem::Tier tier,
+                                                     std::uint32_t size);
+  void free_extent(mem::Tier tier, std::uint64_t offset, std::uint32_t size);
 
+  // The remote tier. Every remote entry is one stripe of the configured
+  // (k, r) shape — n-way replication is the (1, n−1) stripe — and each
+  // lifecycle step below has one path for both; the k > 1 branches cover
+  // only codec work and the any-k read.
+  //
+  // Stores `data` as a stripe; on failure falls back to the device tiers
+  // (when allowed) from the same buffer, flagging the copy degraded unless
+  // remote memory was merely full.
   void put_remote(cluster::ServerId server, mem::EntryId entry,
                   std::span<const std::byte> data, bool allow_disk,
                   PutCallback done, net::TraceId trace = net::kNoTrace);
-  // --- erasure-coded remote tier (Hydra-style, active when rdmc.ec_k > 0) ---
-  // Encodes `data` into k+r shards, stripes them across distinct nodes,
-  // and reports the complete remote EntryLocation (ec fields, per-shard
-  // checksums, surviving shard set, degraded flag). Callers merge it into
-  // their committed entry; shared by the put, spill, and re-promotion
-  // paths.
-  void ec_store(cluster::ServerId server, mem::EntryId entry,
-                std::span<const std::byte> data,
-                std::function<void(StatusOr<mem::EntryLocation>)> done,
-                net::TraceId trace);
-  void put_remote_ec(cluster::ServerId server, mem::EntryId entry,
-                     std::span<const std::byte> data, bool allow_disk,
-                     PutCallback done, net::TraceId trace);
-  // Range read over an EC stripe: direct one-sided reads of the covering
-  // data shards when they all survive; otherwise reconstructs from any k
-  // surviving shards (the degraded-read path).
+  // Encodes stripe->payload into the configured stripe (k > 1: coded units,
+  // their checksums and the encode's virtual-time cost) and places every
+  // unit down to the configured floor. The put, spill and re-promotion
+  // paths share it; each turns the landed set into its committed location
+  // with adopt_stripe().
+  void store_remote(cluster::ServerId server, mem::EntryId entry,
+                    std::shared_ptr<Rdmc::Stripe> stripe,
+                    Rdmc::PutCallback done, net::TraceId trace);
+  // Moves `loc` to the remote tier as the stripe stored from `stripe`:
+  // shape, unit checksums, landed units, and the degraded flag when short.
+  void adopt_stripe(mem::EntryLocation& loc, Rdmc::Stripe& stripe,
+                    std::vector<mem::RemoteReplica> landed) const;
+  // Bytes one unit of `loc`'s stripe holds.
+  static std::size_t unit_size(const mem::EntryLocation& loc);
+  // Range read over an EC stripe (k > 1): direct one-sided reads of the
+  // covering data units when they all survive; otherwise reconstructs from
+  // any k surviving units (the degraded-read path).
   void get_entry_ec(const mem::EntryLocation& location, std::uint64_t offset,
                     std::span<std::byte> out, DoneCallback done,
                     net::TraceId trace);
   void ec_degraded_read(mem::EntryLocation location, std::uint64_t offset,
                         std::span<std::byte> out, DoneCallback done,
                         net::TraceId trace);
-  // Re-encodes the shards lost to crashed hosts onto fresh nodes ("min
-  // surviving shards" repair). Merges by shard index against the *current*
-  // committed replica set, so a concurrent repair or migration never loses
-  // shards, and preserves the stale re-check.
-  void repair_entry_ec(cluster::ServerId server, mem::EntryId entry,
-                       const mem::EntryLocation& loc, DoneCallback done,
-                       net::TraceId trace);
-  // Decodes an EC payload from fully-read shards (checksum-gated), or
-  // returns the codec error. Uses the cached codec when the stripe shape
-  // matches the node config, else builds a matching one.
+  // Decodes an EC payload from fully-read units (checksum-gated), or
+  // returns the codec error.
   [[nodiscard]] StatusOr<std::vector<std::byte>> ec_decode_shards(
       const mem::EntryLocation& loc,
       std::vector<std::vector<std::byte>>& shards);
-  // Device tiers: NVM when present (and then disk on failure), else disk.
-  void put_device(cluster::ServerId server, mem::EntryId entry,
-                  std::span<const std::byte> data, PutCallback done,
-                  net::TraceId trace = net::kNoTrace);
-  void put_disk(cluster::ServerId server, mem::EntryId entry,
-                std::span<const std::byte> data, PutCallback done,
-                net::TraceId trace = net::kNoTrace);
-  void put_nvm(cluster::ServerId server, mem::EntryId entry,
-               std::span<const std::byte> data, PutCallback done,
-               net::TraceId trace = net::kNoTrace);
+  // The codec for `loc`'s (k, r): the cached one when the shape matches the
+  // node config, else a freshly built one in `scratch`.
+  [[nodiscard]] StatusOr<const ec::RsCodec*> codec_for(
+      const mem::EntryLocation& loc, std::optional<ec::RsCodec>& scratch);
+  // Rebuilds the units of `base` (the pruned committed stripe) its dead
+  // holders took and places them on fresh nodes, then merges them by unit
+  // index into the *current* committed set behind a stale re-check, so a
+  // concurrent repair or migration never loses units.
+  void repair_stripe(cluster::ServerId server, mem::EntryId entry,
+                     mem::EntryLocation base, DoneCallback done,
+                     net::TraceId trace);
+  // Device tiers: NVM when present (and then disk when it is full), else
+  // disk.
+  void put_device(std::span<const std::byte> data, PutCallback done,
+                  net::TraceId trace);
+  void put_on(mem::Tier tier, std::span<const std::byte> data,
+              PutCallback done, net::TraceId trace);
   // Frees one LRU shared-pool entry by pushing it to remote memory; the
   // callback reports whether space was reclaimed.
   void spill_one(std::function<void(bool)> done);
@@ -265,10 +276,6 @@ class NodeService {
   void repair_after_node_down(net::NodeId dead);
   void note_pressure();
 
-  [[nodiscard]] StatusOr<std::uint64_t> alloc_disk(std::uint32_t size);
-  void free_disk(std::uint64_t offset, std::uint32_t size);
-  [[nodiscard]] StatusOr<std::uint64_t> alloc_nvm(std::uint32_t size);
-  void free_nvm(std::uint64_t offset, std::uint32_t size);
   static std::uint32_t disk_class(std::uint32_t size) noexcept;
 
   cluster::Node& node_;
@@ -276,7 +283,7 @@ class NodeService {
   Rdms rdms_;
   Rdmc rdmc_;
   // Reed–Solomon codec matching Config::rdmc.{ec_k, ec_r}; engaged only
-  // when EC mode is on (nullopt otherwise, or if the shape is invalid).
+  // for coded stripes (nullopt for copies, or if the shape is invalid).
   std::optional<ec::RsCodec> codec_;
   MetricsRegistry metrics_;
   sim::SpanSink* spans_ = nullptr;

@@ -1,9 +1,11 @@
 #include "core/rdmc.h"
 
 #include <algorithm>
+#include <array>
 
 #include "common/status.h"
 #include "common/units.h"
+#include "ec/rs_codec.h"
 #include "mem/memory_map.h"
 #include "net/wire.h"
 #include "sim/trace.h"
@@ -18,13 +20,19 @@ Rdmc::Rdmc(cluster::Node& node, Config config)
       policy_(cluster::make_placement_policy(config.placement)) {}
 
 void Rdmc::put(cluster::ServerId server, mem::EntryId entry,
-               std::span<const std::byte> data, PutCallback done,
-               std::span<const net::NodeId> exclude, std::size_t count,
+               std::shared_ptr<const Stripe> stripe,
+               std::span<const std::uint32_t> units, std::size_t min_needed,
+               PutCallback done, std::span<const net::NodeId> exclude,
                net::TraceId trace) {
   if (!candidates_) {
     done(FailedPreconditionError("no candidates provider bound"));
     return;
   }
+  if (units.empty()) {
+    done(InvalidArgumentError("put: empty unit set"));
+    return;
+  }
+  if (min_needed == 0 || min_needed > units.size()) min_needed = units.size();
   if (trace == net::kNoTrace) trace = node_.next_trace_id();
   // End-to-end transaction latency (placement + alloc RPCs + write fan-out),
   // success and rollback alike.
@@ -35,28 +43,23 @@ void Rdmc::put(cluster::ServerId server, mem::EntryId entry,
         .record(static_cast<std::uint64_t>(node_.simulator().now() - started));
     inner(std::move(result));
   };
-  if (count == 0) count = config_.replication;
-  // Degraded-mode floor: below this many written replicas the transaction
-  // rolls back; at or above it, a short replica set is an acceptable
-  // (degraded) outcome for the repair service to top up later.
-  const std::size_t min_needed =
-      config_.min_replicas == 0 ? count
-                                : std::min(config_.min_replicas, count);
   auto candidates = candidates_();
   // Remove self and excluded nodes.
   std::erase_if(candidates, [&](const cluster::CandidateNode& c) {
     if (c.node == node_.id()) return true;
     return std::find(exclude.begin(), exclude.end(), c.node) != exclude.end();
   });
-  auto targets = policy_->pick_recorded(candidates, count, data.size(),
+  const std::size_t unit_bytes = stripe->unit(units.front()).size();
+  auto targets = policy_->pick_recorded(candidates, units.size(), unit_bytes,
                                         node_.rng(),
                                         &node_.recv_pool().metrics());
-  // Not enough candidates for the full factor: in degraded mode, retry the
-  // placement with progressively smaller replica sets down to the floor.
-  std::size_t want = count;
+  // Not enough candidates for every unit: in degraded mode, retry the
+  // placement with progressively fewer units (shedding from the back) down
+  // to the floor.
+  std::size_t want = units.size();
   while (!targets.ok() && want > min_needed) {
     --want;
-    targets = policy_->pick_recorded(candidates, want, data.size(),
+    targets = policy_->pick_recorded(candidates, want, unit_bytes,
                                      node_.rng(),
                                      &node_.recv_pool().metrics());
   }
@@ -65,12 +68,12 @@ void Rdmc::put(cluster::ServerId server, mem::EntryId entry,
     done(targets.status());
     return;
   }
-  if (targets->size() < count)
+  if (targets->size() < units.size())
     ++node_.recv_pool().metrics().counter("rdmc.put_short_placement");
 
   // Shared transaction state across the async alloc + write fan-out.
   struct PutTx {
-    std::vector<std::byte> payload;
+    std::shared_ptr<const Stripe> stripe;
     std::vector<mem::RemoteReplica> replicas;
     std::size_t pending = 0;
     std::size_t min_needed = 0;
@@ -79,7 +82,7 @@ void Rdmc::put(cluster::ServerId server, mem::EntryId entry,
     PutCallback done;
   };
   auto tx = std::make_shared<PutTx>();
-  tx->payload.assign(data.begin(), data.end());
+  tx->stripe = std::move(stripe);
   tx->pending = targets->size();
   tx->min_needed = min_needed;
   tx->done = std::move(done);
@@ -93,9 +96,9 @@ void Rdmc::put(cluster::ServerId server, mem::EntryId entry,
     }
     if (tx->failed)
       ++node_.recv_pool().metrics().counter("rdmc.put_degraded_alloc");
-    // Phase 2: one-sided writes to every reserved block. Per-replica
-    // success tracking: a failed write drops that replica (its block is
-    // freed); the put still succeeds if enough writes landed.
+    // Phase 2: one-sided writes, each reserved block getting its unit's
+    // bytes. Per-unit success tracking: a failed write drops that unit (its
+    // block is freed); the put still succeeds if enough writes landed.
     tx->failed = false;
     tx->first_error = Status::Ok();
     tx->pending = tx->replicas.size();
@@ -110,9 +113,8 @@ void Rdmc::put(cluster::ServerId server, mem::EntryId entry,
         tx->done(std::move(*written));
       } else {
         free_replicas(std::move(tx->replicas), {}, trace);
-        tx->done(tx->first_error.ok()
-                     ? UnavailableError("replica writes failed")
-                     : tx->first_error);
+        tx->done(tx->first_error.ok() ? UnavailableError("unit writes failed")
+                                      : tx->first_error);
       }
     };
     for (const auto& replica : tx->replicas) {
@@ -121,7 +123,8 @@ void Rdmc::put(cluster::ServerId server, mem::EntryId entry,
       Status posted =
           !qp.ok() ? qp.status()
                    : (*qp)->post_write(
-                         replica.rkey, replica.offset, tx->payload,
+                         replica.rkey, replica.offset,
+                         tx->stripe->unit(replica.shard),
                          [tx, replica, written, lost,
                           settle_writes](const net::Completion& c) {
                            if (c.status.ok()) {
@@ -142,8 +145,10 @@ void Rdmc::put(cluster::ServerId server, mem::EntryId entry,
     }
   };
 
-  // Phase 1: reserve a block on each target.
-  for (net::NodeId target : *targets) {
+  // Phase 1: reserve a block on each target, target i for unit units[i].
+  for (std::size_t i = 0; i < targets->size(); ++i) {
+    const net::NodeId target = (*targets)[i];
+    const std::uint32_t unit = units[i];
     Status channel = node_.connections().ensure_control_channel(node_.id(),
                                                                 target);
     if (!channel.ok()) {
@@ -158,10 +163,11 @@ void Rdmc::put(cluster::ServerId server, mem::EntryId entry,
     w.put_u32(node_.id());
     w.put_u32(server);
     w.put_u64(entry);
-    w.put_u32(static_cast<std::uint32_t>(tx->payload.size()));
+    w.put_u32(static_cast<std::uint32_t>(tx->stripe->unit(unit).size()));
     node_.rpc().call(
         target, kRpcAllocBlock, std::move(w).take(), config_.rpc_timeout,
-        [tx, target, finish_allocs](StatusOr<std::vector<std::byte>> resp) {
+        [tx, target, unit,
+         finish_allocs](StatusOr<std::vector<std::byte>> resp) {
           if (resp.ok()) {
             net::WireReader r(*resp);
             mem::RemoteReplica replica;
@@ -170,6 +176,7 @@ void Rdmc::put(cluster::ServerId server, mem::EntryId entry,
             replica.rkey = r.u64();
             replica.offset = r.u64();
             replica.block_size = r.u32();
+            replica.shard = unit;
             if (r.ok()) {
               tx->replicas.push_back(replica);
             } else if (!tx->failed) {
@@ -187,176 +194,15 @@ void Rdmc::put(cluster::ServerId server, mem::EntryId entry,
   ++node_.recv_pool().metrics().counter("rdmc.puts");
 }
 
-void Rdmc::put_shards(cluster::ServerId server, mem::EntryId entry,
-                      std::vector<ShardPayload> shards,
-                      std::size_t min_needed, PutCallback done,
-                      std::span<const net::NodeId> exclude,
-                      net::TraceId trace) {
-  if (!candidates_) {
-    done(FailedPreconditionError("no candidates provider bound"));
-    return;
-  }
-  if (shards.empty()) {
-    done(InvalidArgumentError("put_shards: empty shard set"));
-    return;
-  }
-  if (min_needed == 0 || min_needed > shards.size())
-    min_needed = shards.size();
-  if (trace == net::kNoTrace) trace = node_.next_trace_id();
-  const SimTime started = node_.simulator().now();
-  done = [this, started, inner = std::move(done)](
-             StatusOr<std::vector<mem::RemoteReplica>> result) {
-    node_.recv_pool().metrics().histogram("rdmc.put_ns")
-        .record(static_cast<std::uint64_t>(node_.simulator().now() - started));
-    inner(std::move(result));
-  };
-  auto candidates = candidates_();
-  std::erase_if(candidates, [&](const cluster::CandidateNode& c) {
-    if (c.node == node_.id()) return true;
-    return std::find(exclude.begin(), exclude.end(), c.node) != exclude.end();
-  });
-  const std::size_t shard_bytes = shards.front().bytes.size();
-  auto targets = policy_->pick_recorded(candidates, shards.size(),
-                                        shard_bytes, node_.rng(),
-                                        &node_.recv_pool().metrics());
-  // Short placement sheds shards from the back (parity-last ordering)
-  // down to the floor — the EC analogue of put()'s degraded retry.
-  std::size_t want = shards.size();
-  while (!targets.ok() && want > min_needed) {
-    --want;
-    targets = policy_->pick_recorded(candidates, want, shard_bytes,
-                                     node_.rng(),
-                                     &node_.recv_pool().metrics());
-  }
-  if (!targets.ok()) {
-    ++node_.recv_pool().metrics().counter("rdmc.put_no_candidates");
-    done(targets.status());
-    return;
-  }
-  if (targets->size() < shards.size())
-    ++node_.recv_pool().metrics().counter("rdmc.put_short_placement");
-
-  struct ShardTx {
-    std::vector<ShardPayload> shards;
-    std::vector<mem::RemoteReplica> replicas;
-    std::size_t pending = 0;
-    std::size_t min_needed = 0;
-    bool failed = false;
-    Status first_error;
-    PutCallback done;
-  };
-  auto tx = std::make_shared<ShardTx>();
-  tx->shards = std::move(shards);
-  tx->pending = targets->size();
-  tx->min_needed = min_needed;
-  tx->done = std::move(done);
-
-  auto finish_allocs = [this, tx, trace]() {
-    if (tx->failed && tx->replicas.size() < tx->min_needed) {
-      free_replicas(std::move(tx->replicas), {}, trace);
-      tx->done(tx->first_error);
-      return;
-    }
-    if (tx->failed)
-      ++node_.recv_pool().metrics().counter("rdmc.put_degraded_alloc");
-    tx->failed = false;
-    tx->first_error = Status::Ok();
-    tx->pending = tx->replicas.size();
-    auto written = std::make_shared<std::vector<mem::RemoteReplica>>();
-    auto lost = std::make_shared<std::vector<mem::RemoteReplica>>();
-    auto settle_writes = [this, tx, written, lost, trace]() {
-      if (written->size() >= tx->min_needed) {
-        if (!lost->empty()) {
-          ++node_.recv_pool().metrics().counter("rdmc.put_degraded_write");
-          free_replicas(std::move(*lost), {}, trace);
-        }
-        tx->done(std::move(*written));
-      } else {
-        free_replicas(std::move(tx->replicas), {}, trace);
-        tx->done(tx->first_error.ok()
-                     ? UnavailableError("shard writes failed")
-                     : tx->first_error);
-      }
-    };
-    for (const auto& replica : tx->replicas) {
-      // Each replica carries its own shard's bytes (unlike put(), where
-      // every target receives the full payload).
-      const ShardPayload* payload = nullptr;
-      for (const auto& s : tx->shards)
-        if (s.shard == replica.shard) payload = &s;
-      auto qp = node_.connections().ensure_data_channel(node_.id(),
-                                                        replica.node);
-      Status posted =
-          !qp.ok() ? qp.status()
-                   : (*qp)->post_write(
-                         replica.rkey, replica.offset, payload->bytes,
-                         [tx, replica, written, lost,
-                          settle_writes](const net::Completion& c) {
-                           if (c.status.ok()) {
-                             written->push_back(replica);
-                           } else {
-                             lost->push_back(replica);
-                             if (tx->first_error.ok())
-                               tx->first_error = c.status;
-                           }
-                           if (--tx->pending == 0) settle_writes();
-                         },
-                         trace);
-      if (!posted.ok()) {
-        lost->push_back(replica);
-        if (tx->first_error.ok()) tx->first_error = posted;
-        if (--tx->pending == 0) settle_writes();
-      }
-    }
-  };
-
-  for (std::size_t i = 0; i < targets->size(); ++i) {
-    const net::NodeId target = (*targets)[i];
-    const std::uint32_t shard_id = tx->shards[i].shard;
-    const std::size_t size = tx->shards[i].bytes.size();
-    Status channel = node_.connections().ensure_control_channel(node_.id(),
-                                                                target);
-    if (!channel.ok()) {
-      if (!tx->failed) {
-        tx->failed = true;
-        tx->first_error = channel;
-      }
-      if (--tx->pending == 0) finish_allocs();
-      continue;
-    }
-    net::WireWriter w;
-    w.put_u32(node_.id());
-    w.put_u32(server);
-    w.put_u64(entry);
-    w.put_u32(static_cast<std::uint32_t>(size));
-    node_.rpc().call(
-        target, kRpcAllocBlock, std::move(w).take(), config_.rpc_timeout,
-        [tx, target, shard_id,
-         finish_allocs](StatusOr<std::vector<std::byte>> resp) {
-          if (resp.ok()) {
-            net::WireReader r(*resp);
-            mem::RemoteReplica replica;
-            replica.node = target;
-            replica.slab = r.u32();
-            replica.rkey = r.u64();
-            replica.offset = r.u64();
-            replica.block_size = r.u32();
-            replica.shard = shard_id;
-            if (r.ok()) {
-              tx->replicas.push_back(replica);
-            } else if (!tx->failed) {
-              tx->failed = true;
-              tx->first_error = r.status();
-            }
-          } else if (!tx->failed) {
-            tx->failed = true;
-            tx->first_error = resp.status();
-          }
-          if (--tx->pending == 0) finish_allocs();
-        },
-        trace);
-  }
-  ++node_.recv_pool().metrics().counter("rdmc.puts");
+std::span<const std::uint32_t> Rdmc::all_units(std::size_t n) noexcept {
+  static const auto kIndices = [] {
+    std::array<std::uint32_t, ec::RsCodec::kMaxShards + 1> indices{};
+    for (std::size_t i = 0; i < indices.size(); ++i)
+      indices[i] = static_cast<std::uint32_t>(i);
+    return indices;
+  }();
+  return std::span<const std::uint32_t>(kIndices).first(
+      std::min(n, kIndices.size()));
 }
 
 void Rdmc::read(const std::vector<mem::RemoteReplica>& replicas,
@@ -481,15 +327,15 @@ void Rdmc::read_twosided_from(
 }
 
 void Rdmc::free_replicas(std::vector<mem::RemoteReplica> replicas,
-                         DoneCallback done, net::TraceId trace) {
+                         FreedCallback done, net::TraceId trace) {
   if (replicas.empty()) {
-    if (done) done(Status::Ok());
+    if (done) done(0);
     return;
   }
   struct FreeState {
     std::size_t pending;
-    Status first_error;
-    DoneCallback done;
+    std::size_t unfreed = 0;
+    FreedCallback done;
   };
   auto state = std::make_shared<FreeState>();
   state->pending = replicas.size();
@@ -501,10 +347,9 @@ void Rdmc::free_replicas(std::vector<mem::RemoteReplica> replicas,
     node_.rpc().call(replica.node, kRpcFreeBlock, std::move(w).take(),
                      config_.rpc_timeout,
                      [state](StatusOr<std::vector<std::byte>> resp) {
-                       if (!resp.ok() && state->first_error.ok())
-                         state->first_error = resp.status();
+                       if (!resp.ok()) ++state->unfreed;
                        if (--state->pending == 0 && state->done)
-                         state->done(state->first_error);
+                         state->done(state->unfreed);
                      },
                      trace);
   }

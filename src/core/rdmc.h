@@ -1,22 +1,29 @@
 // Remote Disaggregated Memory Client (paper Fig. 1–2, §IV.B, §IV.D–E).
 //
 // The RDMC is the per-node service through which local data leaves for
-// remote memory. A replicated put is the §IV.D atomic transaction:
+// remote memory. Every remote entry is one stripe of k data units plus r
+// redundant units, one unit per node: n-way replication is the (1, n−1)
+// stripe, whose units are verbatim copies, and Hydra-style erasure coding
+// is any k > 1. A put is the §IV.D transaction over the stripe's units:
 //
-//   1. pick `replication` distinct target nodes via the configured
-//      placement policy (§IV.E) over the current candidate set,
+//   1. pick one distinct target node per unit via the configured placement
+//      policy (§IV.E) over the current candidate set,
 //   2. reserve a block on each target (control-plane RPC to its RDMS),
-//   3. one-sided RDMA WRITE the payload into every reserved block,
-//   4. succeed only if *all* replicas acked — otherwise free whatever was
-//      reserved and report failure, leaving the caller's memory map
-//      untouched (all-or-nothing).
+//   3. one-sided RDMA WRITE each unit's bytes into its reserved block,
+//   4. succeed once at least the floor of units landed, reporting the
+//      landed set; below the floor, free whatever was reserved and report
+//      failure, leaving the caller's memory map untouched. With the default
+//      floor (every unit) that is all-or-nothing.
 //
-// Reads are one-sided RDMA READs that fail over across replicas, so a dead
-// replica host costs one detection timeout, not data loss.
+// Reads are one-sided RDMA READs that fail over across holders, so a dead
+// holder costs one detection timeout, not data loss.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "cluster/node.h"
@@ -31,35 +38,54 @@ namespace dm::core {
 class Rdmc {
  public:
   struct Config {
+    // Stripe shape. ec_k == 0 stores n-way replicas: the (1, replication−1)
+    // stripe. ec_k > 0 stores ec_k data + ec_r parity units (Hydra-style,
+    // §IV.D alternative): ~(ec_k+ec_r)/ec_k memory overhead instead of
+    // replication's factor, surviving any ec_r unit losses.
     std::size_t replication = 3;
-    // Degraded-mode floor: a put that cannot reach the full replication
-    // factor (dead targets, exhausted candidates) still succeeds once at
-    // least this many replicas are written, reporting the short replica
-    // set; the repair service tops it up later. 0 = strict all-or-nothing
-    // (the historical §IV.D transaction).
-    std::size_t min_replicas = 0;
-    // Erasure coding (Hydra-style, §IV.D alternative): when ec_k > 0 the
-    // LDMS stores each remote entry as ec_k data + ec_r parity shards,
-    // one per node, via put_shards() instead of whole-copy replication —
-    // ~(ec_k+ec_r)/ec_k memory overhead instead of replication's factor.
-    // The entry survives any ec_r shard losses; degraded reads
-    // reconstruct from the surviving >= ec_k shards.
     std::size_t ec_k = 0;
     std::size_t ec_r = 0;
-    // Degraded floor for shard placement, the EC analogue of
-    // min_replicas: a put that cannot stripe all ec_k+ec_r shards still
-    // succeeds once this many landed (clamped to >= ec_k, since fewer
-    // could never be read back). 0 = all shards required.
-    std::size_t min_shards = 0;
+    // Degraded-mode floor, in units: a put that cannot place every unit
+    // (dead targets, exhausted candidates) still succeeds once this many
+    // landed, reporting the short set; the repair service tops it up later.
+    // 0 = every unit (strict all-or-nothing, the historical §IV.D
+    // transaction); otherwise clamped to [k, k + r], since fewer than k
+    // units could never be read back.
+    std::size_t min_units = 0;
     cluster::PlacementPolicyKind placement =
         cluster::PlacementPolicyKind::kPowerOfTwoChoices;
     SimTime rpc_timeout = 5 * kMilli;
+
+    std::size_t data_units() const noexcept { return ec_k > 0 ? ec_k : 1; }
+    std::size_t total_units() const noexcept {
+      return ec_k > 0 ? ec_k + ec_r : replication;
+    }
+    std::size_t floor_units() const noexcept {
+      return min_units == 0
+                 ? total_units()
+                 : std::clamp(min_units, data_units(), total_units());
+    }
+  };
+
+  // The bytes a put writes. With coded units (k > 1) unit i is units[i];
+  // otherwise every unit is `payload` — a (1, r) stripe's copies, or the
+  // single unit a migration carries. checksums (fnv1a per coded unit) are
+  // committed with the entry so degraded reads can reject a corrupted unit.
+  struct Stripe {
+    std::vector<std::byte> payload;
+    std::vector<std::vector<std::byte>> units;
+    std::vector<std::uint64_t> checksums;
+
+    std::span<const std::byte> unit(std::uint32_t index) const noexcept {
+      if (units.empty()) return payload;
+      return units[index];
+    }
   };
 
   using PutCallback =
       std::function<void(StatusOr<std::vector<mem::RemoteReplica>>)>;
   using ReadCallback = std::function<void(const Status&)>;
-  using DoneCallback = std::function<void(const Status&)>;
+  using FreedCallback = std::function<void(std::size_t unfreed)>;
 
   Rdmc(cluster::Node& node, Config config);
 
@@ -72,39 +98,28 @@ class Rdmc {
 
   const Config& config() const noexcept { return config_; }
 
-  // Replicated put; `exclude` removes nodes from candidacy (used when
-  // migrating an entry *away* from a node). `count` overrides the number of
-  // replicas written (0 = the configured replication factor) — repair paths
-  // top up a degraded entry with exactly one fresh replica. `trace` joins
-  // the alloc RPCs and data-plane writes to the caller's causal chain
+  // Places the given units of `stripe` (indices within the entry's stripe)
+  // on distinct nodes, one unit per node. Succeeds once >= min_needed units
+  // are written (0 = all of them) — the landed set, with
+  // RemoteReplica::shard naming each unit — and rolls everything back below
+  // that. When placement comes up short, units are dropped from the *back*
+  // of the list down to min_needed, so callers order them data-first /
+  // redundancy-last. The transaction holds `stripe` (shared, not copied)
+  // until the writes are posted. `exclude` removes nodes from
+  // candidacy (the entry's other holders, or a node being drained); `trace`
+  // joins the alloc RPCs and data-plane writes to the caller's causal chain
   // (kNoTrace = start a fresh chain at this node).
   void put(cluster::ServerId server, mem::EntryId entry,
-           std::span<const std::byte> data, PutCallback done,
-           std::span<const net::NodeId> exclude = {}, std::size_t count = 0,
+           std::shared_ptr<const Stripe> stripe,
+           std::span<const std::uint32_t> units, std::size_t min_needed,
+           PutCallback done, std::span<const net::NodeId> exclude = {},
            net::TraceId trace = net::kNoTrace);
 
-  // One erasure-coded shard bound for its own node.
-  struct ShardPayload {
-    std::uint32_t shard = 0;  // index within the (k, r) stripe
-    std::vector<std::byte> bytes;
-  };
+  // Unit indices 0 .. n−1: every unit of an n-unit stripe.
+  static std::span<const std::uint32_t> all_units(std::size_t n) noexcept;
 
-  // Erasure-coded put: stripes the given shards across distinct nodes (one
-  // shard per node, same two-phase reserve/write transaction as put()).
-  // Succeeds once >= min_needed shards are written — the survivors, with
-  // RemoteReplica::shard identifying each — and rolls everything back
-  // below that. When placement comes up short, shards are dropped from the
-  // *back* of the vector down to min_needed, so callers order them
-  // data-first/parity-last to shed parity before data. Repair paths call
-  // this with just the missing shards (min_needed = 1) to top up a
-  // degraded stripe.
-  void put_shards(cluster::ServerId server, mem::EntryId entry,
-                  std::vector<ShardPayload> shards, std::size_t min_needed,
-                  PutCallback done, std::span<const net::NodeId> exclude = {},
-                  net::TraceId trace = net::kNoTrace);
-
-  // Reads out.size() bytes at `range_offset` within the entry, failing over
-  // across replicas in order.
+  // Reads out.size() bytes at `range_offset` within a unit, failing over
+  // across the given holders in order (each must hold the same bytes).
   void read(const std::vector<mem::RemoteReplica>& replicas,
             std::uint64_t range_offset, std::span<std::byte> out,
             ReadCallback done, net::TraceId trace = net::kNoTrace);
@@ -119,9 +134,9 @@ class Rdmc {
                      ReadCallback done, net::TraceId trace = net::kNoTrace);
 
   // Frees all replica blocks (best effort on dead hosts); done fires after
-  // every free settles.
+  // every free settles, with the number of blocks that could not be freed.
   void free_replicas(std::vector<mem::RemoteReplica> replicas,
-                     DoneCallback done = {},
+                     FreedCallback done = {},
                      net::TraceId trace = net::kNoTrace);
 
  private:

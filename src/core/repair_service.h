@@ -1,13 +1,13 @@
 // Background re-replication (§IV.D hardening).
 //
 // Degraded-mode writes and node failures leave entries below their intended
-// placement: remote entries with fewer replicas than the replication
-// factor, and disk-fallback entries awaiting re-promotion to remote memory.
-// The RepairService is the per-node janitor that finds them and restores
-// the invariant: a periodic scan walks every local virtual server's memory
-// map for repair candidates and tops each one up through
-// NodeService::repair_entry (which reuses the Rdmc::put(count=1) repair
-// hook from the failure path).
+// placement: remote entries holding fewer units than their stripe (fewer
+// replicas than the replication factor, or fewer EC units than k + r), and
+// disk-fallback entries awaiting re-promotion to remote memory. The
+// RepairService is the per-node janitor that finds them and restores the
+// invariant: a periodic scan walks every local virtual server's memory map
+// for repair candidates and tops each one up through
+// NodeService::repair_entry (the same path the node-down trigger uses).
 //
 // Repairs within one scan run serially — the point is steady background
 // convergence, not a recovery storm that competes with foreground traffic.

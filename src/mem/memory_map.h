@@ -1,8 +1,9 @@
 // Disaggregated memory map (paper §IV.C, §IV.G).
 //
 // Each virtual server tracks where every one of its data entries lives: the
-// node-coordinated shared memory, remote memory on up to three replica
-// nodes, or external storage. The map is the commit point of the system —
+// node-coordinated shared memory, remote memory as one stripe of units on
+// distinct nodes (n-way replicas, or erasure-coded units), or external
+// storage. The map is the commit point of the system —
 // a remote write "happens" when its entry is committed here (all-or-nothing,
 // §IV.D), so an interrupted replication leaves the previous committed
 // location intact.
@@ -29,7 +30,7 @@ using EntryId = std::uint64_t;
 
 enum class Tier : std::uint8_t {
   kSharedMemory = 0,  // node-coordinated shared pool on the home node
-  kRemote = 1,        // replicated across remote nodes' receive pools
+  kRemote = 1,        // striped across remote nodes' receive pools
   kDisk = 2,          // external storage (swap device)
   kNvm = 3,           // local non-volatile memory tier (§VI), when present
 };
@@ -51,9 +52,8 @@ struct RemoteReplica {
   std::uint64_t offset = 0;     // offset within the registered slab
   std::uint32_t slab = 0;       // host-side slab id (needed to free)
   std::uint32_t block_size = 0; // size class of the hosting block
-  // Erasure-coded entries: which of the k+r shards this block holds.
-  // Whole-copy replication leaves it 0 (every replica is shard 0, the
-  // full payload).
+  // Which unit of the entry's (k, r) stripe this block holds. With k = 1
+  // (n-way replication) every unit is a verbatim copy of the payload.
   std::uint32_t shard = 0;
 
   friend bool operator==(const RemoteReplica&, const RemoteReplica&) = default;
@@ -68,22 +68,29 @@ struct EntryLocation {
   std::uint64_t checksum = 0;      // fnv1a of the logical bytes
   std::uint64_t disk_offset = 0;   // device offset (tier kDisk or kNvm)
   // Degraded mode (§IV.D hardening): the entry is durable but below its
-  // intended placement — written with fewer replicas than the replication
-  // factor, or pushed to a device tier because remote memory was
+  // intended placement — written with fewer units than its stripe, or
+  // pushed to a device tier because remote memory was
   // unreachable. The background repair service revisits degraded entries
   // and clears the flag once the intended placement is restored.
   bool degraded = false;
-  // Erasure coding (Hydra-style): when ec_k > 0 the entry is stored as
-  // ec_k data + ec_r parity shards, one per replica slot, and `replicas`
-  // holds the surviving shard set (identified by RemoteReplica::shard)
-  // rather than whole copies. Missing shards are simply absent; the entry
-  // stays readable while >= ec_k shards survive.
+  // Stripe shape (tier kRemote): the entry is stored as ec_k data units
+  // plus ec_r redundant units, one per node, and `replicas` holds the
+  // surviving unit set (identified by RemoteReplica::shard). n-way
+  // replication is the (1, n−1) stripe, whose units are whole copies;
+  // ec_k > 1 is Hydra-style erasure coding, with parity units. Missing
+  // units are simply absent; the entry stays readable while >= ec_k
+  // survive, and total_units() is its intended placement.
   std::uint8_t ec_k = 0;
   std::uint8_t ec_r = 0;
-  // fnv1a per stored shard (index-aligned with shard ids, size ec_k+ec_r)
-  // so degraded reads can reject corrupted shards before decoding.
+  // ec_k > 1: fnv1a per coded unit (index-aligned with unit ids, size
+  // ec_k+ec_r) so degraded reads can reject corrupted units before
+  // decoding. Empty for copies.
   std::vector<std::uint64_t> shard_checksums;
   std::vector<RemoteReplica> replicas;  // valid when tier == kRemote
+
+  std::size_t total_units() const noexcept {
+    return static_cast<std::size_t>(ec_k) + ec_r;
+  }
 };
 
 class MemoryMap {
@@ -107,10 +114,10 @@ class MemoryMap {
   // Entries with a replica on `node` — the failure/eviction repair set.
   std::vector<EntryId> entries_with_replica_on(net::NodeId node) const;
 
-  // Entries the repair service should revisit: remote entries below
-  // `replication` replicas, plus anything explicitly marked degraded
-  // (e.g. disk-fallback writes awaiting re-promotion).
-  std::vector<EntryId> repair_candidates(std::size_t replication) const;
+  // Entries the repair service should revisit: remote entries holding
+  // fewer units than their stripe's total_units(), plus anything explicitly
+  // marked degraded (e.g. disk-fallback writes awaiting re-promotion).
+  std::vector<EntryId> repair_candidates() const;
 
   // Estimated resident metadata bytes (the §IV.C scalability arithmetic).
   std::uint64_t approx_bytes() const noexcept;

@@ -69,7 +69,7 @@ SoakResult run_soak(std::uint64_t seed) {
   config.node.recv.arena_bytes = 16 * MiB;
   config.node.disk.capacity_bytes = 64 * MiB;
   config.service.rdmc.replication = 2;
-  config.service.rdmc.min_replicas = 1;  // degraded-mode writes allowed
+  config.service.rdmc.min_units = 1;  // degraded-mode writes allowed
   config.rpc_retry.max_attempts = 3;
   config.rpc_retry.base_backoff = 500 * kMicro;
   config.rpc_retry.max_backoff = 2 * kMilli;
@@ -142,8 +142,10 @@ SoakResult run_soak(std::uint64_t seed) {
   chaos.packet_loss(storm_start + 2200 * kMilli, 0.05, 100 * kMilli);
 
   // Memcached-like workload: fresh-key puts plus reads over the live key
-  // set. No overwrites or removes mid-storm (an overwrite is remove+put,
-  // and removes against unreachable replica hosts are not atomic).
+  // set. No overwrites or removes mid-storm: this soak checks that every
+  // acknowledged key survives, and removes against unreachable replica
+  // hosts (which succeed, counting the blocks they could not free) are
+  // covered by RecoveryTest.RemoveAndOverwriteSucceedWith*HostDown.
   Rng workload_rng(seed ^ 0x7a3);
   std::map<mem::EntryId, std::uint64_t> shadow;  // key -> content id
   mem::EntryId next_key = 1;
@@ -279,7 +281,7 @@ SwapSoakResult run_swap_soak(std::uint64_t seed) {
   config.node.recv.arena_bytes = 16 * MiB;
   config.node.disk.capacity_bytes = 64 * MiB;
   config.service.rdmc.replication = 2;
-  config.service.rdmc.min_replicas = 1;
+  config.service.rdmc.min_units = 1;
   config.rpc_retry.max_attempts = 3;
   config.rpc_retry.base_backoff = 500 * kMicro;
   config.rpc_retry.max_backoff = 2 * kMilli;
@@ -462,7 +464,7 @@ EcSoakResult run_ec_soak(std::uint64_t seed) {
   config.node.disk.capacity_bytes = 64 * MiB;
   config.service.rdmc.ec_k = kEcK;
   config.service.rdmc.ec_r = kEcR;
-  config.service.rdmc.min_shards = kEcK;  // degraded short stripes allowed
+  config.service.rdmc.min_units = kEcK;  // degraded short stripes allowed
   config.rpc_retry.max_attempts = 3;
   config.rpc_retry.base_backoff = 500 * kMicro;
   config.rpc_retry.max_backoff = 2 * kMilli;
@@ -669,7 +671,7 @@ FlightSoakResult run_flight_soak(std::uint64_t seed, const std::string& dir) {
   config.node.recv.arena_bytes = 16 * MiB;
   config.node.disk.capacity_bytes = 64 * MiB;
   config.service.rdmc.replication = 2;
-  config.service.rdmc.min_replicas = 1;
+  config.service.rdmc.min_units = 1;
   config.rpc_retry.max_attempts = 3;
   config.rpc_retry.base_backoff = 500 * kMicro;
   config.rpc_retry.max_backoff = 2 * kMilli;

@@ -105,6 +105,33 @@ TEST(RsCodecTest, SystematicMatrixTopIsIdentity) {
   }
 }
 
+// The identity the remote tier relies on to store n-way replicas as the
+// (1, n−1) stripe without running the codec: with k = 1 every coding row is
+// {1}, so every unit is a verbatim copy and any single unit decodes.
+TEST(RsCodecTest, OneDataUnitStripeIsReplication) {
+  for (std::size_t r = 0; r <= 3; ++r) {
+    auto codec = RsCodec::make(1, r);
+    ASSERT_TRUE(codec.ok()) << "r=" << r;
+    for (std::size_t unit = 0; unit <= r; ++unit) {
+      auto row = codec->matrix_row(unit);
+      ASSERT_EQ(row.size(), 1u) << "r=" << r << " unit " << unit;
+      EXPECT_EQ(row[0], 1) << "r=" << r << " unit " << unit;
+    }
+    const auto data = pattern_bytes(4097, 977 + r);
+    auto units = codec->encode(data);
+    ASSERT_TRUE(units.ok());
+    ASSERT_EQ(units->size(), r + 1);
+    for (const auto& unit : *units) EXPECT_EQ(unit, data) << "r=" << r;
+    for (std::size_t keep = 0; keep <= r; ++keep) {
+      std::vector<std::vector<std::byte>> one(r + 1);
+      one[keep] = (*units)[keep];
+      auto back = codec->decode(one, data.size());
+      ASSERT_TRUE(back.ok()) << "r=" << r << " unit " << keep;
+      EXPECT_EQ(*back, data) << "r=" << r << " unit " << keep;
+    }
+  }
+}
+
 TEST(RsCodecTest, ShardSizeArithmetic) {
   EXPECT_EQ(RsCodec::shard_size(4096, 4), 1024u);
   EXPECT_EQ(RsCodec::shard_size(4096, 3), 1366u);  // ceil
@@ -262,7 +289,7 @@ DmSystem::Config ec_config(std::size_t nodes, std::size_t k, std::size_t r,
   config.node.disk.capacity_bytes = 64 * MiB;
   config.service.rdmc.ec_k = k;
   config.service.rdmc.ec_r = r;
-  config.service.rdmc.min_shards = min_shards;
+  config.service.rdmc.min_units = min_shards;
   return config;
 }
 

@@ -204,7 +204,7 @@ TEST(SystemPropertyFuzz, LiveKeysReadableAndReplicasBounded) {
   config.node.recv.arena_bytes = 8 * MiB;
   config.node.disk.capacity_bytes = 64 * MiB;
   config.service.rdmc.replication = 2;
-  config.service.rdmc.min_replicas = 1;
+  config.service.rdmc.min_units = 1;
   config.rpc_retry.max_attempts = 2;
   config.repair.enabled = true;
   DmSystem system(config);
@@ -298,7 +298,7 @@ TEST(SystemPropertyFuzz, EcStripesBoundedAndKeysReadable) {
   config.node.disk.capacity_bytes = 64 * MiB;
   config.service.rdmc.ec_k = kEcK;
   config.service.rdmc.ec_r = kEcR;
-  config.service.rdmc.min_shards = kEcK;
+  config.service.rdmc.min_units = kEcK;
   config.rpc_retry.max_attempts = 2;
   config.repair.enabled = true;
   DmSystem system(config);

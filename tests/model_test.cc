@@ -709,7 +709,7 @@ TEST(EcModelTest, StripeInvariantsHoldOverRandomOps) {
   config.node.disk.capacity_bytes = 64 * MiB;
   config.service.rdmc.ec_k = kEcK;
   config.service.rdmc.ec_r = kEcR;
-  config.service.rdmc.min_shards = kEcK;
+  config.service.rdmc.min_units = kEcK;
   DmSystem system(config);
   system.start();
   LdmcOptions options;

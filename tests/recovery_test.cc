@@ -38,7 +38,7 @@ DmSystem::Config cluster_config(std::size_t nodes, std::size_t replication,
   config.node.recv.arena_bytes = 8 * MiB;
   config.node.disk.capacity_bytes = 64 * MiB;
   config.service.rdmc.replication = replication;
-  config.service.rdmc.min_replicas = min_replicas;
+  config.service.rdmc.min_units = min_replicas;
   return config;
 }
 
@@ -525,7 +525,7 @@ DmSystem::Config ec_cluster_config(std::size_t nodes, std::size_t k,
   config.node.disk.capacity_bytes = 64 * MiB;
   config.service.rdmc.ec_k = k;
   config.service.rdmc.ec_r = r;
-  config.service.rdmc.min_shards = min_shards;
+  config.service.rdmc.min_units = min_shards;
   return config;
 }
 
@@ -718,6 +718,66 @@ TEST(RecoveryTest, ShardMigrationRacingRelocationNeverCommitsStaleShards) {
   const auto data = page_data(42);
   ASSERT_TRUE(client.put_sync(42, data).ok());
   run_concurrent_migrations(system, client, 42, data);
+}
+
+// Removing or overwriting an entry while one of its unit hosts is down must
+// succeed: erasing the map entry is the commit point, so a block on the dead
+// host is counted in "ldms.remove_unfreed_blocks", not reported as a
+// failure, and the overwrite (remove + put) goes on to write the new value.
+// The floor lets the fresh put land degraded if placement picks the dead
+// host before membership notices it.
+void check_remove_and_overwrite_with_holder_down(DmSystem::Config config) {
+  config.node_count = 6;
+  DmSystem system(config);
+  system.start();
+  auto& client = system.create_server(0, 64 * MiB, remote_only());
+  constexpr mem::EntryId kEntries = 12;
+  for (mem::EntryId id = 1; id <= kEntries; ++id)
+    ASSERT_TRUE(client.put_sync(id, page_data(id)).ok()) << "entry " << id;
+
+  // Crash the host of entry 1's first unit; find two entries holding a unit
+  // there.
+  const net::NodeId victim = client.map().lookup(1)->replicas.front().node;
+  std::vector<mem::EntryId> on_victim;
+  for (mem::EntryId id = 1; id <= kEntries; ++id) {
+    const auto loc = client.map().lookup(id);
+    ASSERT_TRUE(loc.ok());
+    for (const auto& replica : loc->replicas)
+      if (replica.node == victim) on_victim.push_back(id);
+  }
+  ASSERT_GE(on_victim.size(), 2u);
+  system.crash_node(node_index(system, victim));
+  const mem::EntryId overwritten = on_victim[0];
+  const mem::EntryId removed = on_victim[1];
+
+  const auto fresh = page_data(1000);
+  ASSERT_TRUE(client.put_sync(overwritten, fresh).ok());
+  std::vector<std::byte> out(4096);
+  ASSERT_TRUE(client.get_sync(overwritten, out).ok());
+  EXPECT_EQ(out, fresh);
+
+  ASSERT_TRUE(client.remove_sync(removed).ok());
+  EXPECT_FALSE(client.map().contains(removed));
+  EXPECT_EQ(system.service(0).metrics().counter_value(
+                "ldms.remove_unfreed_blocks"),
+            2u);
+
+  // Every other entry still reads back intact.
+  for (mem::EntryId id = 1; id <= kEntries; ++id) {
+    if (id == overwritten || id == removed) continue;
+    ASSERT_TRUE(client.get_sync(id, out).ok()) << "entry " << id;
+    EXPECT_EQ(out, page_data(id)) << "entry " << id;
+  }
+}
+
+TEST(RecoveryTest, RemoveAndOverwriteSucceedWithReplicaHostDown) {
+  check_remove_and_overwrite_with_holder_down(
+      cluster_config(6, 2, /*min_replicas=*/1));
+}
+
+TEST(RecoveryTest, RemoveAndOverwriteSucceedWithShardHostDown) {
+  check_remove_and_overwrite_with_holder_down(
+      ec_cluster_config(6, 2, 1, /*min_shards=*/2));
 }
 
 }  // namespace
