@@ -28,12 +28,12 @@ int main() {
     for (std::size_t i = 0; i < kNodes; ++i)
       pool.push_back({static_cast<net::NodeId>(i), 512 * MiB});
     std::vector<std::uint64_t> load(kNodes, 0);
+    std::vector<net::NodeId> picked;
     for (int i = 0; i < kPlacements; ++i) {
       // Mixed block sizes, as compression produces.
       const std::uint64_t size = 512ull << rng.next_below(4);
-      auto picked = policy->pick(pool, 1, size, rng);
-      if (!picked.ok()) break;
-      const auto n = picked->front();
+      if (!policy->pick(pool, 1, size, rng, picked).ok()) break;
+      const auto n = picked.front();
       load[n] += size;
       pool[n].free_bytes -= size;
     }

@@ -10,44 +10,45 @@
 namespace dm::cluster {
 namespace {
 
-// Filters to candidates that can host `size` bytes, preserving order.
-std::vector<CandidateNode> eligible(std::span<const CandidateNode> candidates,
-                                    std::uint64_t size) {
-  std::vector<CandidateNode> out;
-  out.reserve(candidates.size());
+// Fills `out` with the candidates that can host `size` bytes, preserving
+// order.
+void eligible(std::span<const CandidateNode> candidates, std::uint64_t size,
+              std::vector<CandidateNode>& out) {
+  out.clear();
   for (const auto& c : candidates)
     if (c.free_bytes >= size) out.push_back(c);
-  return out;
 }
 
 class RandomPolicy final : public PlacementPolicy {
  public:
-  StatusOr<std::vector<net::NodeId>> pick(
-      std::span<const CandidateNode> candidates, std::size_t count,
-      std::uint64_t size, Rng& rng) override {
-    auto pool = eligible(candidates, size);
+  Status pick(std::span<const CandidateNode> candidates, std::size_t count,
+              std::uint64_t size, Rng& rng,
+              std::vector<net::NodeId>& out) override {
+    auto& pool = pool_;
+    eligible(candidates, size, pool);
+    out.clear();
     if (pool.size() < count)
       return ResourceExhaustedError("not enough eligible nodes");
     rng.shuffle(pool);
-    std::vector<net::NodeId> out;
     for (std::size_t i = 0; i < count; ++i) out.push_back(pool[i].node);
-    return out;
+    return Status::Ok();
   }
 };
 
 class RoundRobinPolicy final : public PlacementPolicy {
  public:
-  StatusOr<std::vector<net::NodeId>> pick(
-      std::span<const CandidateNode> candidates, std::size_t count,
-      std::uint64_t size, Rng&) override {
-    auto pool = eligible(candidates, size);
+  Status pick(std::span<const CandidateNode> candidates, std::size_t count,
+              std::uint64_t size, Rng&,
+              std::vector<net::NodeId>& out) override {
+    auto& pool = pool_;
+    eligible(candidates, size, pool);
+    out.clear();
     if (pool.size() < count)
       return ResourceExhaustedError("not enough eligible nodes");
-    std::vector<net::NodeId> out;
     for (std::size_t i = 0; i < count; ++i)
       out.push_back(pool[(cursor_ + i) % pool.size()].node);
     cursor_ = (cursor_ + count) % pool.size();
-    return out;
+    return Status::Ok();
   }
 
  private:
@@ -58,13 +59,14 @@ class RoundRobinPolicy final : public PlacementPolicy {
 // implemented as repeated weighted sampling without replacement.
 class WeightedRoundRobinPolicy final : public PlacementPolicy {
  public:
-  StatusOr<std::vector<net::NodeId>> pick(
-      std::span<const CandidateNode> candidates, std::size_t count,
-      std::uint64_t size, Rng& rng) override {
-    auto pool = eligible(candidates, size);
+  Status pick(std::span<const CandidateNode> candidates, std::size_t count,
+              std::uint64_t size, Rng& rng,
+              std::vector<net::NodeId>& out) override {
+    auto& pool = pool_;
+    eligible(candidates, size, pool);
+    out.clear();
     if (pool.size() < count)
       return ResourceExhaustedError("not enough eligible nodes");
-    std::vector<net::NodeId> out;
     while (out.size() < count) {
       std::uint64_t total = 0;
       for (const auto& c : pool) total += c.free_bytes;
@@ -80,7 +82,7 @@ class WeightedRoundRobinPolicy final : public PlacementPolicy {
       out.push_back(pool[chosen].node);
       pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(chosen));
     }
-    return out;
+    return Status::Ok();
   }
 };
 
@@ -88,13 +90,14 @@ class WeightedRoundRobinPolicy final : public PlacementPolicy {
 // free memory; repeat per replica (Richa/Mitzenmacher/Sitaraman, paper [31]).
 class PowerOfTwoPolicy final : public PlacementPolicy {
  public:
-  StatusOr<std::vector<net::NodeId>> pick(
-      std::span<const CandidateNode> candidates, std::size_t count,
-      std::uint64_t size, Rng& rng) override {
-    auto pool = eligible(candidates, size);
+  Status pick(std::span<const CandidateNode> candidates, std::size_t count,
+              std::uint64_t size, Rng& rng,
+              std::vector<net::NodeId>& out) override {
+    auto& pool = pool_;
+    eligible(candidates, size, pool);
+    out.clear();
     if (pool.size() < count)
       return ResourceExhaustedError("not enough eligible nodes");
-    std::vector<net::NodeId> out;
     while (out.size() < count) {
       const std::size_t a = static_cast<std::size_t>(rng.next_below(pool.size()));
       std::size_t b = static_cast<std::size_t>(rng.next_below(pool.size()));
@@ -106,7 +109,7 @@ class PowerOfTwoPolicy final : public PlacementPolicy {
       out.push_back(pool[chosen].node);
       pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(chosen));
     }
-    return out;
+    return Status::Ok();
   }
 };
 
@@ -122,13 +125,14 @@ class PowerOfTwoPolicy final : public PlacementPolicy {
 // advertised-richest donor dogpiles it between refreshes.
 class LoadAwarePolicy final : public PlacementPolicy {
  public:
-  StatusOr<std::vector<net::NodeId>> pick(
-      std::span<const CandidateNode> candidates, std::size_t count,
-      std::uint64_t size, Rng& rng) override {
-    auto pool = eligible(candidates, size);
+  Status pick(std::span<const CandidateNode> candidates, std::size_t count,
+              std::uint64_t size, Rng& rng,
+              std::vector<net::NodeId>& out) override {
+    auto& pool = pool_;
+    eligible(candidates, size, pool);
+    out.clear();
     if (pool.size() < count)
       return ResourceExhaustedError("not enough eligible nodes");
-    std::vector<net::NodeId> out;
     while (out.size() < count) {
       const std::size_t a = static_cast<std::size_t>(rng.next_below(pool.size()));
       std::size_t b = static_cast<std::size_t>(rng.next_below(pool.size()));
@@ -140,7 +144,7 @@ class LoadAwarePolicy final : public PlacementPolicy {
       out.push_back(pool[chosen].node);
       pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(chosen));
     }
-    return out;
+    return Status::Ok();
   }
 };
 
@@ -160,7 +164,8 @@ std::uint64_t load_aware_score(const CandidateNode& candidate) noexcept {
 
 std::vector<CandidateNode> load_aware_rank(
     std::span<const CandidateNode> candidates, std::uint64_t size) {
-  auto ranked = eligible(candidates, size);
+  std::vector<CandidateNode> ranked;
+  eligible(candidates, size, ranked);
   std::sort(ranked.begin(), ranked.end(),
             [](const CandidateNode& a, const CandidateNode& b) {
               const std::uint64_t sa = load_aware_score(a);
@@ -171,10 +176,11 @@ std::vector<CandidateNode> load_aware_rank(
   return ranked;
 }
 
-StatusOr<std::vector<net::NodeId>> PlacementPolicy::pick_recorded(
-    std::span<const CandidateNode> candidates, std::size_t count,
-    std::uint64_t size, Rng& rng, MetricsRegistry* metrics) {
-  auto picked = pick(candidates, count, size, rng);
+Status PlacementPolicy::pick_recorded(std::span<const CandidateNode> candidates,
+                                     std::size_t count, std::uint64_t size,
+                                     Rng& rng, MetricsRegistry* metrics,
+                                     std::vector<net::NodeId>& out) {
+  Status picked = pick(candidates, count, size, rng, out);
   if (metrics != nullptr) {
     ++metrics->counter("placement.decisions");
     if (!picked.ok()) ++metrics->counter("placement.failures");

@@ -53,22 +53,27 @@ class PlacementPolicy {
  public:
   virtual ~PlacementPolicy() = default;
 
-  // Picks `count` distinct nodes from `candidates` to host replicas of an
-  // entry of `size` bytes. Candidates with free_bytes < size are skipped.
-  // Fails with kResourceExhausted when fewer than `count` eligible nodes
-  // exist.
-  [[nodiscard]] virtual StatusOr<std::vector<net::NodeId>> pick(
-      std::span<const CandidateNode> candidates, std::size_t count,
-      std::uint64_t size, Rng& rng) = 0;
+  // Picks `count` distinct nodes from `candidates` into `out` (cleared
+  // first) to host replicas of an entry of `size` bytes. Candidates with
+  // free_bytes < size are skipped. Fails with kResourceExhausted when fewer
+  // than `count` eligible nodes exist.
+  [[nodiscard]] virtual Status pick(std::span<const CandidateNode> candidates,
+                                    std::size_t count, std::uint64_t size,
+                                    Rng& rng, std::vector<net::NodeId>& out) = 0;
 
   // Instrumented pick: same semantics, plus decision accounting into
   // `metrics` (null = record nothing): "placement.decisions" /
   // "placement.failures" counters and "placement.candidates" /
   // "placement.eligible" histograms. Callers on the hot path use this so
   // observability sees every replica-set decision.
-  [[nodiscard]] StatusOr<std::vector<net::NodeId>> pick_recorded(
-      std::span<const CandidateNode> candidates, std::size_t count,
-      std::uint64_t size, Rng& rng, MetricsRegistry* metrics);
+  [[nodiscard]] Status pick_recorded(std::span<const CandidateNode> candidates,
+                                     std::size_t count, std::uint64_t size,
+                                     Rng& rng, MetricsRegistry* metrics,
+                                     std::vector<net::NodeId>& out);
+
+ protected:
+  // Eligible-candidate scratch, reused across picks.
+  std::vector<CandidateNode> pool_;
 };
 
 std::unique_ptr<PlacementPolicy> make_placement_policy(

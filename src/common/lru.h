@@ -2,12 +2,18 @@
 //
 // Used by the swap frontends (victim selection) and caches (eviction order).
 // touch() moves a key to the MRU end; evict_lru() pops the LRU end.
+//
+// Steady-state churn allocates nothing: evict_lru() and erase() keep the
+// freed list node (spliced onto a spare list) and the index's node handle,
+// and the next touch() of a new key reuses both. Recency order lives in the
+// list alone, so recycling nodes cannot change which key is evicted.
 #pragma once
 
 #include <cassert>
 #include <list>
 #include <optional>
 #include <unordered_map>
+#include <vector>
 
 namespace dm {
 
@@ -21,8 +27,22 @@ class LruTracker {
       order_.splice(order_.end(), order_, it->second);
       return;
     }
-    order_.push_back(key);
-    index_.emplace(key, std::prev(order_.end()));
+    if (spare_.empty()) {
+      order_.push_back(key);
+    } else {
+      order_.splice(order_.end(), spare_, spare_.begin());
+      order_.back() = key;
+    }
+    const auto pos = std::prev(order_.end());
+    if (spare_handles_.empty()) {
+      index_.emplace(key, pos);
+      return;
+    }
+    auto handle = std::move(spare_handles_.back());
+    spare_handles_.pop_back();
+    handle.key() = key;
+    handle.mapped() = pos;
+    index_.insert(std::move(handle));
   }
 
   bool contains(const Key& key) const { return index_.count(key) > 0; }
@@ -31,8 +51,8 @@ class LruTracker {
   std::optional<Key> evict_lru() {
     if (order_.empty()) return std::nullopt;
     Key victim = order_.front();
-    order_.pop_front();
-    index_.erase(victim);
+    spare_handles_.push_back(index_.extract(victim));
+    spare_.splice(spare_.end(), order_, order_.begin());
     return victim;
   }
 
@@ -45,17 +65,20 @@ class LruTracker {
   bool erase(const Key& key) {
     auto it = index_.find(key);
     if (it == index_.end()) return false;
-    order_.erase(it->second);
-    index_.erase(it);
+    spare_.splice(spare_.end(), order_, it->second);
+    spare_handles_.push_back(index_.extract(it));
     return true;
   }
 
   std::size_t size() const noexcept { return index_.size(); }
   bool empty() const noexcept { return index_.empty(); }
 
+  // Drops every key and the recycled nodes.
   void clear() {
     order_.clear();
     index_.clear();
+    spare_.clear();
+    spare_handles_.clear();
   }
 
   // LRU-to-MRU iteration (read-only).
@@ -63,8 +86,12 @@ class LruTracker {
   auto end() const { return order_.end(); }
 
  private:
+  using Index = std::unordered_map<Key, typename std::list<Key>::iterator>;
+
   std::list<Key> order_;  // front = LRU, back = MRU
-  std::unordered_map<Key, typename std::list<Key>::iterator> index_;
+  Index index_;
+  std::list<Key> spare_;  // list nodes freed by evict_lru/erase
+  std::vector<typename Index::node_type> spare_handles_;
 };
 
 }  // namespace dm

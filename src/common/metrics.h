@@ -2,7 +2,8 @@
 //
 // Each subsystem owns a MetricsRegistry (no global state), which benches and
 // tests read to assert behavioural properties ("zero disk I/O in FS-SM
-// mode", "3 replica writes per put").
+// mode", "3 replica writes per put"). A registry never erases a metric, so
+// references to its counters and histograms stay valid for its lifetime.
 #pragma once
 
 #include <cstdint>
@@ -10,6 +11,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 #include "common/histogram.h"
 
@@ -42,11 +44,6 @@ class MetricsRegistry {
     return histograms_;
   }
 
-  void reset() {
-    counters_.clear();
-    histograms_.clear();
-  }
-
   // "name=value" lines, sorted by name, then one
   // "name: count=N mean=M p50=A p99=B max=C" line per histogram (raw
   // nanosecond values); for debug dumps.
@@ -66,5 +63,36 @@ class MetricsRegistry {
   std::map<std::string, std::uint64_t, std::less<>> counters_;
   std::map<std::string, Histogram, std::less<>> histograms_;
 };
+
+// Handle to one metric, resolved on first use: the metric appears in the
+// registry exactly when a direct counter()/histogram() call would create
+// it, and later uses skip the name lookup. `name` must outlive the handle
+// (a string literal).
+template <typename T>
+class LazyMetric {
+ public:
+  LazyMetric(MetricsRegistry& registry, std::string_view name)
+      : registry_(&registry), name_(name) {}
+
+  T& operator*() {
+    if (metric_ == nullptr) {
+      if constexpr (std::is_same_v<T, Histogram>) {
+        metric_ = &registry_->histogram(name_);
+      } else {
+        metric_ = &registry_->counter(name_);
+      }
+    }
+    return *metric_;
+  }
+  T* operator->() { return &**this; }
+
+ private:
+  MetricsRegistry* registry_;
+  std::string_view name_;
+  T* metric_ = nullptr;
+};
+
+using LazyCounter = LazyMetric<std::uint64_t>;
+using LazyHistogram = LazyMetric<Histogram>;
 
 }  // namespace dm

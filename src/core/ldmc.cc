@@ -12,22 +12,30 @@ Ldmc::Ldmc(NodeService& service, cluster::ServerId server, Config config)
       map_(config.map_shards) {}
 
 void Ldmc::put(mem::EntryId entry, std::span<const std::byte> data,
-               std::function<void(const Status&)> done, net::TraceId trace) {
+               DoneCallback done, net::TraceId trace) {
   if (trace == net::kNoTrace) trace = service_.node().next_trace_id();
   if (map_.contains(entry)) {
     // Overwrite = remove + put; the paper's entries (swap pages, cached
     // partitions) are immutable once written, so this path is rare.
-    remove(entry,
-           [this, entry,
-            payload = std::vector<std::byte>(data.begin(), data.end()), trace,
-            done = std::move(done)](const Status& removed) mutable {
-             if (!removed.ok()) {
-               done(removed);
-               return;
-             }
-             put(entry, payload, std::move(done), trace);
-           },
-           trace);
+    PutOp* op = puts_.acquire();
+    op->entry = entry;
+    op->trace = trace;
+    op->payload.assign(data.begin(), data.end());
+    op->done = std::move(done);
+    remove(
+        entry,
+        [this, op](const Status& removed) {
+          DoneCallback then = std::move(op->done);
+          if (removed.ok()) {
+            // put() copies the bytes before it returns.
+            put(op->entry, op->payload, std::move(then), op->trace);
+            puts_.release(op);
+            return;
+          }
+          puts_.release(op);
+          then(removed);
+        },
+        trace);
     return;
   }
   // Deterministic ratio routing: spread the shm-first decision evenly over
@@ -37,62 +45,65 @@ void Ldmc::put(mem::EntryId entry, std::span<const std::byte> data,
       static_cast<double>(put_counter_ % 100) <
           config_.shm_fraction * 100.0;
   ++put_counter_;
-  const std::uint64_t checksum = fnv1a(data);
-  const auto logical = static_cast<std::uint32_t>(data.size());
+  PutOp* op = puts_.acquire();
+  op->entry = entry;
+  op->checksum = fnv1a(data);
+  op->logical = static_cast<std::uint32_t>(data.size());
+  op->done = std::move(done);
   service_.put_entry(
       server_, entry, data, prefer_shm, config_.allow_remote,
       config_.allow_disk,
-      [this, entry, checksum, logical,
-       done = std::move(done)](StatusOr<mem::EntryLocation> location) {
-        if (!location.ok()) {
-          done(location.status());
-          return;
-        }
-        location->checksum = checksum;
-        location->logical_size = logical;
-        switch (location->tier) {
-          case mem::Tier::kSharedMemory: ++puts_shm_; break;
-          case mem::Tier::kRemote: ++puts_remote_; break;
-          case mem::Tier::kNvm: ++puts_nvm_; break;
-          case mem::Tier::kDisk: ++puts_disk_; break;
-        }
-        map_.commit(entry, *std::move(location));
-        done(Status::Ok());
+      [this, op](StatusOr<mem::EntryLocation> location) {
+        finish_put(op, std::move(location));
       },
       trace);
 }
 
-void Ldmc::get(mem::EntryId entry, std::span<std::byte> out,
-               std::function<void(const Status&)> done, net::TraceId trace) {
-  auto location = map_.lookup(entry);
+void Ldmc::finish_put(PutOp* op, StatusOr<mem::EntryLocation> location) {
+  const mem::EntryId entry = op->entry;
+  const std::uint64_t checksum = op->checksum;
+  const std::uint32_t logical = op->logical;
+  DoneCallback done = std::move(op->done);
+  puts_.release(op);
   if (!location.ok()) {
     done(location.status());
     return;
   }
+  location->checksum = checksum;
+  location->logical_size = logical;
+  switch (location->tier) {
+    case mem::Tier::kSharedMemory: ++puts_shm_; break;
+    case mem::Tier::kRemote: ++puts_remote_; break;
+    case mem::Tier::kNvm: ++puts_nvm_; break;
+    case mem::Tier::kDisk: ++puts_disk_; break;
+  }
+  map_.commit(entry, *std::move(location));
+  done(Status::Ok());
+}
+
+void Ldmc::get(mem::EntryId entry, std::span<std::byte> out,
+               DoneCallback done, net::TraceId trace) {
+  const mem::EntryLocation* location = map_.lookup(entry);
+  if (location == nullptr) {
+    done(NotFoundError("entry not mapped"));
+    return;
+  }
   const bool full_read = out.size() >= location->stored_size;
   auto window = full_read ? out.first(location->stored_size) : out;
-  const std::uint64_t expect = location->checksum;
   const bool verify = config_.verify_checksums && full_read &&
                       location->stored_size == location->logical_size;
   service_.get_entry(
-      server_, entry, *location, 0, window,
-      [window, expect, verify, done = std::move(done)](const Status& s) {
-        if (s.ok() && verify && fnv1a(window) != expect) {
-          done(DataLossError("checksum mismatch on get"));
-          return;
-        }
-        done(s);
-      },
-      trace);
+      server_, entry, *location, 0, window, std::move(done), trace,
+      verify ? std::optional<std::uint64_t>(location->checksum)
+             : std::nullopt);
 }
 
 void Ldmc::get_range(mem::EntryId entry, std::uint64_t offset,
-                     std::span<std::byte> out,
-                     std::function<void(const Status&)> done,
+                     std::span<std::byte> out, DoneCallback done,
                      net::TraceId trace) {
-  auto location = map_.lookup(entry);
-  if (!location.ok()) {
-    done(location.status());
+  const mem::EntryLocation* location = map_.lookup(entry);
+  if (location == nullptr) {
+    done(NotFoundError("entry not mapped"));
     return;
   }
   if (offset + out.size() > location->stored_size) {
@@ -103,26 +114,24 @@ void Ldmc::get_range(mem::EntryId entry, std::uint64_t offset,
                      trace);
 }
 
-void Ldmc::remove(mem::EntryId entry,
-                  std::function<void(const Status&)> done,
+void Ldmc::remove(mem::EntryId entry, DoneCallback done,
                   net::TraceId trace) {
-  auto location = map_.lookup(entry);
-  if (!location.ok()) {
-    done(location.status());
-    return;
-  }
   // Erase first: the map is the commit point. A repair or migration that
   // commits after this point sees the entry gone in its stale re-check and
   // frees its own provisional blocks; freeing the just-erased committed
   // replica set here therefore cannot race with a late commit (which would
   // leak the late replica if the erase happened after the frees).
-  (void)map_.remove(entry);
+  std::optional<mem::EntryLocation> location = map_.take(entry);
+  if (!location) {
+    done(NotFoundError("entry not mapped"));
+    return;
+  }
   service_.remove_entry(server_, entry, *location, std::move(done), trace);
 }
 
 StatusOr<std::size_t> Ldmc::stored_size(mem::EntryId entry) const {
-  auto location = map_.lookup(entry);
-  if (!location.ok()) return location.status();
+  const mem::EntryLocation* location = map_.lookup(entry);
+  if (location == nullptr) return NotFoundError("entry not mapped");
   return static_cast<std::size_t>(location->stored_size);
 }
 

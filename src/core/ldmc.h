@@ -18,6 +18,7 @@
 #include <span>
 
 #include "common/checksum.h"
+#include "common/op_pool.h"
 #include "common/status.h"
 #include "core/node_service.h"
 #include "mem/memory_map.h"
@@ -36,22 +37,22 @@ class Ldmc {
   NodeService& service() noexcept { return service_; }
 
   // --- asynchronous API -------------------------------------------------------
-  // `trace` threads the caller's causal chain through every RPC and verb
-  // the operation triggers (kNoTrace = the node service starts a fresh
-  // chain), so a swap fault's journey is followable in the tracer.
+  // `done` fires exactly once. `trace` threads the caller's causal chain
+  // through every RPC and verb the operation triggers (kNoTrace = the node
+  // service starts a fresh chain), so a swap fault's journey is followable
+  // in the tracer.
+  using DoneCallback = NodeService::DoneCallback;
+
   void put(mem::EntryId entry, std::span<const std::byte> data,
-           std::function<void(const Status&)> done,
-           net::TraceId trace = net::kNoTrace);
+           DoneCallback done, net::TraceId trace = net::kNoTrace);
   // Full-entry read of stored bytes (out must be >= stored size).
-  void get(mem::EntryId entry, std::span<std::byte> out,
-           std::function<void(const Status&)> done,
+  void get(mem::EntryId entry, std::span<std::byte> out, DoneCallback done,
            net::TraceId trace = net::kNoTrace);
   // Sub-range read at `offset` within the stored bytes.
   void get_range(mem::EntryId entry, std::uint64_t offset,
-                 std::span<std::byte> out,
-                 std::function<void(const Status&)> done,
+                 std::span<std::byte> out, DoneCallback done,
                  net::TraceId trace = net::kNoTrace);
-  void remove(mem::EntryId entry, std::function<void(const Status&)> done,
+  void remove(mem::EntryId entry, DoneCallback done,
               net::TraceId trace = net::kNoTrace);
 
   // --- synchronous wrappers (drive the simulator until completion) ------------
@@ -85,6 +86,23 @@ class Ldmc {
  private:
   friend class NodeService;  // migration/repair rewrite committed locations
 
+  // One put from call to map commit. `payload` holds the bytes only while
+  // an overwrite removes the old entry first.
+  struct PutOp {
+    mem::EntryId entry = 0;
+    std::uint64_t checksum = 0;
+    std::uint32_t logical = 0;
+    net::TraceId trace = net::kNoTrace;
+    std::vector<std::byte> payload;
+    DoneCallback done;
+
+    void clear() { done.reset(); }
+  };
+
+  // Commits the placed location (or reports the failure) and recycles the
+  // record.
+  void finish_put(PutOp* op, StatusOr<mem::EntryLocation> location);
+
   Status wait(const bool& flag, const Status& result);
 
   NodeService& service_;
@@ -96,6 +114,7 @@ class Ldmc {
   std::uint64_t puts_remote_ = 0;
   std::uint64_t puts_disk_ = 0;
   std::uint64_t puts_nvm_ = 0;
+  OpPool<PutOp> puts_;
 };
 
 }  // namespace dm::core

@@ -186,37 +186,23 @@ StatusOr<SimTime> Fabric::model_transfer(NodeId src, NodeId dst,
 }
 
 void Fabric::complete_with_error(QueuePair* qp, Status status,
-                                 CompletionCallback done) {
+                                 CompletionCallback done,
+                                 sim::AsyncSpan span) {
   qp->error_ = true;
-  ++metrics_.counter("fabric.op_errors");
-  const SimTime when = sim_.now() + config_.failure_detect_ns;
-  sim_.schedule_at(when, [status = std::move(status), done = std::move(done),
-                          when]() {
-    if (done) done(Completion{status, when, 0});
-  });
+  complete_cxl_error(std::move(status), std::move(done), span);
 }
 
 // ---- CXL-class load/store port ---------------------------------------------
 
-void Fabric::complete_cxl_error(Status status, CompletionCallback done) {
+void Fabric::complete_cxl_error(Status status, CompletionCallback done,
+                                sim::AsyncSpan span) {
   ++metrics_.counter("fabric.op_errors");
   const SimTime when = sim_.now() + config_.failure_detect_ns;
   sim_.schedule_at(when, [status = std::move(status), done = std::move(done),
-                          when]() {
+                          when, span]() mutable {
+    span.close();
     if (done) done(Completion{status, when, 0});
   });
-}
-
-CompletionCallback Fabric::wrap_cxl_span(TraceId trace, NodeId at,
-                                         const char* name,
-                                         CompletionCallback done) {
-  if (spans_ == nullptr || trace == kNoTrace) return done;
-  // dm-lint: allow(span-unclosed) — closed by the wrapped completion.
-  const std::uint64_t span = spans_->begin_span(trace, at, "net", name);
-  return [spans = spans_, span, inner = std::move(done)](const Completion& c) {
-    spans->end_span(span);
-    if (inner) inner(c);
-  };
 }
 
 Status Fabric::cxl_read(NodeId src, NodeId dst, RKey rkey,
@@ -224,11 +210,12 @@ Status Fabric::cxl_read(NodeId src, NodeId dst, RKey rkey,
                         CompletionCallback done, TraceId trace) {
   if (!has_node(src) || !has_node(dst))
     return InvalidArgumentError("unknown node");
-  done = wrap_cxl_span(trace, src, "fabric.cxl_read", std::move(done));
+  const auto span =
+      sim::AsyncSpan::open(spans_, trace, src, "net", "fabric.cxl_read");
   const SimTime posted_at = sim_.now();
   ++metrics_.counter("fabric.cxl_reads");
   if (!path_up(src, dst)) {
-    complete_cxl_error(UnavailableError("path down"), std::move(done));
+    complete_cxl_error(UnavailableError("path down"), std::move(done), span);
     return Status::Ok();  // posted; failure arrives via completion
   }
   // Request flit to the memory node, then the data transaction back. The
@@ -237,14 +224,14 @@ Status Fabric::cxl_read(NodeId src, NodeId dst, RKey rkey,
   const SimTime request_arrival =
       sim_.now() + config_.latency.link_propagation_ns;
   sim_.schedule_at(request_arrival, [this, src, dst, rkey, offset, dest,
-                                     posted_at,
+                                     posted_at, span,
                                      done = std::move(done)]() mutable {
     MemoryRegion* region = find_region(dst, rkey);
     if (!path_up(dst, src) || region == nullptr ||
         offset + dest.size() > region->bytes.size()) {
       Status err = region == nullptr ? NotFoundError("remote MR invalid")
                                      : UnavailableError("remote down");
-      complete_cxl_error(std::move(err), std::move(done));
+      complete_cxl_error(std::move(err), std::move(done), span);
       return;
     }
     // Snapshot the remote line now; it travels back on the data hop.
@@ -254,15 +241,16 @@ Status Fabric::cxl_read(NodeId src, NodeId dst, RKey rkey,
             static_cast<std::ptrdiff_t>(dest.size()));
     auto back = model_transfer(dst, src, payload.size(), config_.latency.cxl);
     if (!back.ok()) {
-      complete_cxl_error(back.status(), std::move(done));
+      complete_cxl_error(back.status(), std::move(done), span);
       return;
     }
     sim_.schedule_at(*back, [this, dest, payload = std::move(payload),
-                             done = std::move(done), posted_at,
-                             deliver = *back]() {
+                             done = std::move(done), posted_at, span,
+                             deliver = *back]() mutable {
       std::memcpy(dest.data(), payload.data(), payload.size());
       metrics_.histogram("fabric.cxl_read_ns")
           .record(static_cast<std::uint64_t>(deliver - posted_at));
+      span.close();
       if (done)
         done(Completion{Status::Ok(), deliver,
                         static_cast<std::uint64_t>(payload.size())});
@@ -276,18 +264,19 @@ Status Fabric::cxl_write(NodeId src, NodeId dst, RKey rkey,
                          CompletionCallback done, TraceId trace) {
   if (!has_node(src) || !has_node(dst))
     return InvalidArgumentError("unknown node");
-  done = wrap_cxl_span(trace, src, "fabric.cxl_write", std::move(done));
+  const auto span =
+      sim::AsyncSpan::open(spans_, trace, src, "net", "fabric.cxl_write");
   const SimTime posted_at = sim_.now();
   ++metrics_.counter("fabric.cxl_writes");
   auto arrival = model_transfer(src, dst, data.size(), config_.latency.cxl);
   if (!arrival.ok()) {
-    complete_cxl_error(arrival.status(), std::move(done));
+    complete_cxl_error(arrival.status(), std::move(done), span);
     return Status::Ok();
   }
   // Copy out now (doorbell + DMA snapshot, as with post_write).
   std::vector<std::byte> payload(data.begin(), data.end());
   sim_.schedule_at(*arrival, [this, dst, rkey, offset,
-                              payload = std::move(payload), posted_at,
+                              payload = std::move(payload), posted_at, span,
                               done = std::move(done),
                               deliver = *arrival]() mutable {
     MemoryRegion* region = find_region(dst, rkey);
@@ -296,7 +285,7 @@ Status Fabric::cxl_write(NodeId src, NodeId dst, RKey rkey,
       Status err = region == nullptr
                        ? NotFoundError("remote MR invalid")
                        : UnavailableError("remote node down at delivery");
-      complete_cxl_error(std::move(err), std::move(done));
+      complete_cxl_error(std::move(err), std::move(done), span);
       return;
     }
     if (!payload.empty())
@@ -305,8 +294,9 @@ Status Fabric::cxl_write(NodeId src, NodeId dst, RKey rkey,
     const SimTime acked = deliver + config_.latency.link_propagation_ns;
     metrics_.histogram("fabric.cxl_write_ns")
         .record(static_cast<std::uint64_t>(acked - posted_at));
-    sim_.schedule_at(acked, [done = std::move(done), acked,
-                             nbytes = payload.size()]() {
+    sim_.schedule_at(acked, [done = std::move(done), acked, span,
+                             nbytes = payload.size()]() mutable {
+      span.close();
       if (done)
         done(Completion{Status::Ok(), acked,
                         static_cast<std::uint64_t>(nbytes)});
@@ -321,38 +311,30 @@ Status QueuePair::post_write(RKey rkey, std::uint64_t offset,
                              std::span<const std::byte> data,
                              CompletionCallback done, TraceId trace) {
   if (error_) return FailedPreconditionError("QP in error state");
-  if (fabric_.spans_ != nullptr && trace != kNoTrace) {
-    // Span closes when the completion fires, on success and failure alike —
-    // wrap `done` so every settle path ends it. dm-lint: allow(span-unclosed)
-    const std::uint64_t span =
-        fabric_.spans_->begin_span(trace, local_, "net", "fabric.write");
-    done = [spans = fabric_.spans_, span,
-            inner = std::move(done)](const Completion& c) {
-      spans->end_span(span);
-      if (inner) inner(c);
-    };
-  }
+  // The span closes when the completion fires, on success and failure
+  // alike: every settle path below closes it before calling `done`.
+  const auto span = sim::AsyncSpan::open(fabric_.spans_, trace, local_, "net",
+                                         "fabric.write");
   const SimTime posted_at = fabric_.sim_.now();
   auto arrival = fabric_.model_transfer(local_, remote_, data.size(),
                                         fabric_.config().latency.rdma);
   if (!arrival.ok()) {
-    fabric_.complete_with_error(this, arrival.status(), std::move(done));
+    fabric_.complete_with_error(this, arrival.status(), std::move(done),
+                                span);
     return Status::Ok();  // posted; failure arrives via completion
   }
   // RC ordering: completions on one QP never reorder.
   const SimTime deliver = std::max(*arrival, last_delivery_);
   last_delivery_ = deliver;
-  const std::uint64_t nbytes = data.size();
   // Copy out now: the caller may reuse its buffer after post (the model
   // charges the NIC at post time, so this matches a doorbell + DMA snapshot).
   std::vector<std::byte> payload(data.begin(), data.end());
   auto& fabric = fabric_;
   const NodeId remote = remote_;
   const QpId self_id = id_;
-  fabric.sim_.schedule_at(deliver, [&fabric, remote, rkey, offset,
-                                    payload = std::move(payload), self_id,
-                                    nbytes, done = std::move(done), deliver,
-                                    posted_at]() mutable {
+  auto land = [&fabric, remote, rkey, offset, payload = std::move(payload),
+               self_id, done = std::move(done), deliver, posted_at,
+               span]() mutable {
     MemoryRegion* region = fabric.find_region(remote, rkey);
     if (!fabric.node_up(remote) || region == nullptr ||
         offset + payload.size() > region->bytes.size()) {
@@ -360,6 +342,7 @@ Status QueuePair::post_write(RKey rkey, std::uint64_t offset,
                        ? NotFoundError("remote MR invalid")
                        : UnavailableError("remote node down at delivery");
       if (QueuePair* self = fabric.qp_by_id(self_id)) self->error_ = true;
+      span.close();
       if (done) done(Completion{err, deliver, 0});
       return;
     }
@@ -368,10 +351,16 @@ Status QueuePair::post_write(RKey rkey, std::uint64_t offset,
         deliver + fabric.config().latency.link_propagation_ns;
     fabric.metrics().histogram("fabric.write_ns")
         .record(static_cast<std::uint64_t>(acked - posted_at));
-    fabric.sim_.schedule_at(acked, [done = std::move(done), acked, nbytes]() {
+    auto ack = [done = std::move(done), acked, span,
+                nbytes = static_cast<std::uint64_t>(payload.size())]() mutable {
+      span.close();
       if (done) done(Completion{Status::Ok(), acked, nbytes});
-    });
-  });
+    };
+    static_assert(sim::EventCallback::stores_inline<decltype(ack)>());
+    fabric.sim_.schedule_at(acked, std::move(ack));
+  };
+  static_assert(sim::EventCallback::stores_inline<decltype(land)>());
+  fabric.sim_.schedule_at(deliver, std::move(land));
   ++fabric_.metrics().counter("fabric.writes");
   if (fabric_.tracer() != nullptr)
     fabric_.trace("fabric.write",
@@ -386,31 +375,23 @@ Status QueuePair::post_read(RKey rkey, std::uint64_t offset,
                             std::span<std::byte> dest, CompletionCallback done,
                             TraceId trace) {
   if (error_) return FailedPreconditionError("QP in error state");
-  if (fabric_.spans_ != nullptr && trace != kNoTrace) {
-    // dm-lint: allow(span-unclosed) — closed by the wrapped completion.
-    const std::uint64_t span =
-        fabric_.spans_->begin_span(trace, local_, "net", "fabric.read");
-    done = [spans = fabric_.spans_, span,
-            inner = std::move(done)](const Completion& c) {
-      spans->end_span(span);
-      if (inner) inner(c);
-    };
-  }
+  const auto span = sim::AsyncSpan::open(fabric_.spans_, trace, local_, "net",
+                                         "fabric.read");
   const SimTime posted_at = fabric_.sim_.now();
   // Request hop (tiny control message), then data hop back.
   auto request_arrival =
       fabric_.model_transfer(local_, remote_, 64, fabric_.config().latency.rdma);
   if (!request_arrival.ok()) {
-    fabric_.complete_with_error(this, request_arrival.status(), std::move(done));
+    fabric_.complete_with_error(this, request_arrival.status(),
+                                std::move(done), span);
     return Status::Ok();
   }
   auto& fabric = fabric_;
   const NodeId remote = remote_;
   const NodeId local = local_;
   const QpId self_id = id_;
-  fabric.sim_.schedule_at(*request_arrival, [&fabric, remote, local, rkey,
-                                             offset, dest, self_id, posted_at,
-                                             done = std::move(done)]() mutable {
+  auto serve = [&fabric, remote, local, rkey, offset, dest, self_id,
+                posted_at, span, done = std::move(done)]() mutable {
     QueuePair* self = fabric.qp_by_id(self_id);
     MemoryRegion* region = fabric.find_region(remote, rkey);
     if (!fabric.node_up(remote) || region == nullptr || self == nullptr ||
@@ -420,7 +401,9 @@ Status QueuePair::post_read(RKey rkey, std::uint64_t offset,
       if (self != nullptr) self->error_ = true;
       const SimTime when =
           fabric.sim_.now() + fabric.config().failure_detect_ns;
-      fabric.sim_.schedule_at(when, [done = std::move(done), err, when]() {
+      fabric.sim_.schedule_at(when, [done = std::move(done), err, when,
+                                     span]() mutable {
+        span.close();
         if (done) done(Completion{err, when, 0});
       });
       return;
@@ -434,8 +417,9 @@ Status QueuePair::post_read(RKey rkey, std::uint64_t offset,
       self->error_ = true;
       const SimTime when =
           fabric.sim_.now() + fabric.config().failure_detect_ns;
-      fabric.sim_.schedule_at(when, [done = std::move(done), when,
-                                     st = back.status()]() {
+      fabric.sim_.schedule_at(when, [done = std::move(done), when, span,
+                                     st = back.status()]() mutable {
+        span.close();
         if (done) done(Completion{st, when, 0});
       });
       return;
@@ -444,14 +428,19 @@ Status QueuePair::post_read(RKey rkey, std::uint64_t offset,
     self->last_delivery_ = deliver;
     fabric.metrics().histogram("fabric.read_ns")
         .record(static_cast<std::uint64_t>(deliver - posted_at));
-    fabric.sim_.schedule_at(deliver, [dest, payload = std::move(payload),
-                                      done = std::move(done), deliver]() {
+    auto land = [dest, payload = std::move(payload), done = std::move(done),
+                 deliver, span]() mutable {
       std::memcpy(dest.data(), payload.data(), payload.size());
+      span.close();
       if (done)
         done(Completion{Status::Ok(), deliver,
                         static_cast<std::uint64_t>(payload.size())});
-    });
-  });
+    };
+    static_assert(sim::EventCallback::stores_inline<decltype(land)>());
+    fabric.sim_.schedule_at(deliver, std::move(land));
+  };
+  static_assert(sim::EventCallback::stores_inline<decltype(serve)>());
+  fabric.sim_.schedule_at(*request_arrival, std::move(serve));
   ++fabric_.metrics().counter("fabric.reads");
   if (fabric_.tracer() != nullptr)
     fabric_.trace("fabric.read",

@@ -194,13 +194,12 @@ class Fabric {
   bool path_up(NodeId src, NodeId dst) const;
   // Loss draw for one delivered message (false when loss is disabled).
   bool should_drop_message();
+  // Fails `done` after the detection delay; complete_with_error also
+  // moves the QP to the error state. `span` closes with the completion.
   void complete_with_error(QueuePair* qp, Status status,
-                           CompletionCallback done);
-  // QP-free error completion for the CXL port (no connection to poison).
-  void complete_cxl_error(Status status, CompletionCallback done);
-  // Shared span-wrapping for the CXL port ops.
-  CompletionCallback wrap_cxl_span(TraceId trace, NodeId at, const char* name,
-                                   CompletionCallback done);
+                           CompletionCallback done, sim::AsyncSpan span = {});
+  void complete_cxl_error(Status status, CompletionCallback done,
+                          sim::AsyncSpan span = {});
   NodeState* state_of(NodeId node);
   const NodeState* state_of(NodeId node) const;
   MemoryRegion* find_region(NodeId node, RKey rkey);

@@ -17,6 +17,7 @@
 
 #include "common/status.h"
 #include "common/units.h"
+#include "sim/event_callback.h"
 
 namespace dm::net {
 
@@ -62,7 +63,7 @@ struct Completion {
   std::uint64_t bytes = 0;
 };
 
-using CompletionCallback = std::function<void(const Completion&)>;
+using CompletionCallback = sim::OpCallback<void(const Completion&)>;
 
 // Handler invoked on the receiving side of a two-sided SEND. The message is
 // the sender's posted buffer; the handler may keep it (move from it) rather

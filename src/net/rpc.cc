@@ -161,7 +161,7 @@ void RpcEndpoint::call_once(NodeId peer, RpcMethod method,
   if (it == channels_.end() || it->second->in_error()) {
     ++metrics_.counter("rpc.no_channel");
     // Fail asynchronously so callers see uniform completion ordering.
-    sim_.schedule_after(0, [done = std::move(done)]() {
+    sim_.schedule_after(0, [done = std::move(done)]() mutable {
       done(UnavailableError("no control channel to peer"));
     });
     return;
@@ -200,19 +200,23 @@ void RpcEndpoint::call_once(NodeId peer, RpcMethod method,
   // buffer to delivery.
   FrameHeader header(Kind::kRequest, call_id, trace);
   header.put(method);
-  Status posted = it->second->post_send(
-      header.frame(std::move(payload)), [this, call_id](const Completion& c) {
-        if (!c.status.ok()) settle(call_id, c.status);
-      });
+  auto sent = [this, call_id](const Completion& c) {
+    if (!c.status.ok()) settle(call_id, c.status);
+  };
+  static_assert(CompletionCallback::stores_inline<decltype(sent)>());
+  Status posted =
+      it->second->post_send(header.frame(std::move(payload)), std::move(sent));
   if (!posted.ok()) {
     settle(call_id, posted);
     return;
   }
-  sim_.schedule_after(timeout, [this, call_id]() {
+  auto expire = [this, call_id]() {
     // A call that already settled leaves no record; its timer is a no-op.
     if (find_pending(call_id) == nullptr) return;
     settle(call_id, TimeoutError("rpc deadline exceeded"));
-  });
+  };
+  static_assert(sim::EventCallback::stores_inline<decltype(expire)>());
+  sim_.schedule_after(timeout, std::move(expire));
 }
 
 void RpcEndpoint::on_message(NodeId from, std::vector<std::byte>& message) {

@@ -43,7 +43,7 @@ using RpcHandler = std::function<StatusOr<std::vector<std::byte>>(
 
 // Client-side continuation.
 using RpcResponseCallback =
-    std::function<void(StatusOr<std::vector<std::byte>> response)>;
+    sim::OpCallback<void(StatusOr<std::vector<std::byte>> response)>;
 
 // One RPC endpoint per node. All QPs attached via attach_channel() share the
 // same dispatch table, so a node answers the same protocol to every peer.

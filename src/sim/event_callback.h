@@ -1,13 +1,25 @@
-// Move-only, type-erased `void()` callable for simulator events.
+// Move-only, type-erased callables with inline storage: the one callable
+// type for simulator events and for every completion on the op path.
 //
-// Every scheduled event used to be a std::function, which heap-allocates
-// any closure larger than two pointers or not trivially copyable — and the
-// substrate's closures routinely capture a payload vector plus a completion
-// std::function. EventCallback stores closures up to kInlineBytes inside
-// itself (the fabric's delivery and ack closures all fit) and heap-allocates
-// only larger ones. It is move-only, so closures may capture move-only state
-// (unique_ptr, moved-in buffers) and are never copied on the way to the
-// queue.
+// A std::function heap-allocates any closure larger than two pointers or
+// not trivially copyable, and the substrate's closures routinely capture a
+// payload vector plus a completion. InlineCallback<R(Args...), N> stores
+// closures up to N bytes inside itself and heap-allocates only larger
+// ones. It is move-only, so closures may capture move-only state
+// (unique_ptr, moved-in buffers, other callbacks) and are never copied on
+// the way to the queue.
+//
+// Two instances cover the code base:
+//  * OpCallback<Sig> — a completion (fabric verb, RPC reply, Rdmc/LDMS op
+//    done). kOpInlineBytes holds an object pointer, an op record pointer
+//    and a few scalars: what a completion needs when its op keeps the rest
+//    in a state record. A completion never wraps another completion (that
+//    would need more than kOpInlineBytes and spill to the heap); the op
+//    record carries the caller's callback instead.
+//  * EventCallback — a scheduled event. Its buffer is sized from the
+//    completion's: one captured OpCallback plus kEventCaptureBytes of the
+//    event's own state, so a fabric or RPC event closure that carries a
+//    completion to delivery still stores inline.
 #pragma once
 
 #include <cstddef>
@@ -17,18 +29,21 @@
 
 namespace dm::sim {
 
-class EventCallback {
- public:
-  // 120 B of storage plus the ops pointer: 128 B, two cache lines.
-  static constexpr std::size_t kInlineBytes = 120;
+template <typename Signature, std::size_t InlineBytes>
+class InlineCallback;
 
-  EventCallback() noexcept = default;
+template <typename R, typename... Args, std::size_t InlineBytes>
+class InlineCallback<R(Args...), InlineBytes> {
+ public:
+  static constexpr std::size_t kInlineBytes = InlineBytes;
+
+  InlineCallback() noexcept = default;
 
   template <typename F,
             typename Fn = std::decay_t<F>,
-            typename = std::enable_if_t<!std::is_same_v<Fn, EventCallback> &&
-                                        std::is_invocable_r_v<void, Fn&>>>
-  EventCallback(F&& f) {  // NOLINT: implicit by design
+            typename = std::enable_if_t<!std::is_same_v<Fn, InlineCallback> &&
+                                        std::is_invocable_r_v<R, Fn&, Args...>>>
+  InlineCallback(F&& f) {  // NOLINT: implicit by design
     if constexpr (kStoredInline<Fn>) {
       ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
       ops_ = &kInlineOps<Fn>;
@@ -38,14 +53,14 @@ class EventCallback {
     }
   }
 
-  EventCallback(EventCallback&& other) noexcept : ops_(other.ops_) {
+  InlineCallback(InlineCallback&& other) noexcept : ops_(other.ops_) {
     if (ops_ != nullptr) {
       ops_->relocate(storage_, other.storage_);
       other.ops_ = nullptr;
     }
   }
 
-  EventCallback& operator=(EventCallback&& other) noexcept {
+  InlineCallback& operator=(InlineCallback&& other) noexcept {
     if (this != &other) {
       reset();
       ops_ = other.ops_;
@@ -57,10 +72,10 @@ class EventCallback {
     return *this;
   }
 
-  EventCallback(const EventCallback&) = delete;
-  EventCallback& operator=(const EventCallback&) = delete;
+  InlineCallback(const InlineCallback&) = delete;
+  InlineCallback& operator=(const InlineCallback&) = delete;
 
-  ~EventCallback() { reset(); }
+  ~InlineCallback() { reset(); }
 
   // Destroys the held closure (and whatever it captured), leaving empty.
   void reset() noexcept {
@@ -72,8 +87,12 @@ class EventCallback {
 
   explicit operator bool() const noexcept { return ops_ != nullptr; }
 
-  // Precondition: non-empty.
-  void operator()() { ops_->invoke(storage_); }
+  // Precondition: non-empty. Callable through a const reference, as a
+  // std::function is, so a closure that holds a callback by value may
+  // invoke it without being declared mutable.
+  R operator()(Args... args) const {
+    return ops_->invoke(storage_, std::forward<Args>(args)...);
+  }
 
   // True when a closure of type F is held without a heap allocation.
   template <typename F>
@@ -83,7 +102,7 @@ class EventCallback {
 
  private:
   struct Ops {
-    void (*invoke)(void* self);
+    R (*invoke)(void* self, Args&&... args);
     // Move-constructs into dst from src, then destroys src.
     void (*relocate)(void* dst, void* src) noexcept;
     void (*destroy)(void* self) noexcept;
@@ -102,7 +121,9 @@ class EventCallback {
 
   template <typename Fn>
   static constexpr Ops kInlineOps{
-      [](void* self) { (*held<Fn>(self))(); },
+      [](void* self, Args&&... args) -> R {
+        return (*held<Fn>(self))(std::forward<Args>(args)...);
+      },
       [](void* dst, void* src) noexcept {
         ::new (dst) Fn(std::move(*held<Fn>(src)));
         held<Fn>(src)->~Fn();
@@ -112,13 +133,30 @@ class EventCallback {
 
   template <typename Fn>
   static constexpr Ops kHeapOps{
-      [](void* self) { (**held<Fn*>(self))(); },
+      [](void* self, Args&&... args) -> R {
+        return (**held<Fn*>(self))(std::forward<Args>(args)...);
+      },
       [](void* dst, void* src) noexcept { ::new (dst) Fn*(*held<Fn*>(src)); },
       [](void* self) noexcept { delete *held<Fn*>(self); },
   };
 
-  alignas(void*) unsigned char storage_[kInlineBytes];
+  alignas(void*) mutable unsigned char storage_[kInlineBytes];
   const Ops* ops_ = nullptr;
 };
+
+// Completion storage: 48 B of closure plus the ops pointer, 56 B in all.
+inline constexpr std::size_t kOpInlineBytes = 48;
+
+template <typename Signature>
+using OpCallback = InlineCallback<Signature, kOpInlineBytes>;
+
+// What an event closure may capture beside one completion: the fabric's
+// delivery closures carry a payload buffer, addresses, timestamps and an
+// open span next to the verb's completion.
+inline constexpr std::size_t kEventCaptureBytes = 128;
+
+// 184 B of storage plus the ops pointer: 192 B, three cache lines.
+using EventCallback =
+    InlineCallback<void(), sizeof(OpCallback<void()>) + kEventCaptureBytes>;
 
 }  // namespace dm::sim

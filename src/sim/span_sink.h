@@ -68,4 +68,25 @@ class SpanScope {
   std::uint64_t span_ = 0;
 };
 
+// A span held across an asynchronous gap, inside an op's closure or state
+// record: opened at post, closed by the completion on every settle path.
+// Closing one that was never opened does nothing.
+struct AsyncSpan {
+  SpanSink* sink = nullptr;
+  std::uint64_t id = 0;
+
+  // Opens when `sink` is non-null and the trace is real.
+  static AsyncSpan open(SpanSink* sink, std::uint64_t trace,
+                        std::uint32_t node, std::string_view subsystem,
+                        std::string_view name) {
+    if (sink == nullptr || trace == 0) return {};
+    // Closed by the op's completion. dm-lint: allow(span-unclosed)
+    return {sink, sink->begin_span(trace, node, subsystem, name)};
+  }
+
+  void close() const {
+    if (sink != nullptr) sink->end_span(id);
+  }
+};
+
 }  // namespace dm::sim

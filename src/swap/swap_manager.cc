@@ -433,7 +433,7 @@ Status SwapManager::store_batch(
     return stored;
   }
   ++swap_outs_;
-  if (auto loc = client_.map().lookup(entry); loc.ok() && loc->degraded) {
+  if (auto loc = client_.map().lookup(entry); loc && loc->degraded) {
     // Degraded-mode store (§IV.D hardening): the batch is durable but below
     // its intended placement — remote with a short replica set, or pushed
     // to disk because remote memory was unreachable. The repair service
@@ -530,7 +530,7 @@ void SwapManager::wb_flush_entry(mem::EntryId entry) {
             ++metrics_.counter("swap.wb.late_removes");
             client_.remove(entry, [](const Status&) {});
           } else if (auto loc = client_.map().lookup(entry);
-                     loc.ok() && loc->degraded) {
+                     loc && loc->degraded) {
             ++metrics_.counter("swap.degraded_batches");
           }
           wb_.erase(wb_it);

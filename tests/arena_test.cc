@@ -55,6 +55,25 @@ TEST(ByteArenaTest, ReadsZeroUntilWritten) {
   EXPECT_TRUE(all_zero(std::span(arena).subspan(MiB + 1)));
 }
 
+// Laziness must survive a torn-down predecessor. Freeing the first arena
+// raises glibc's dynamic mmap threshold to its size, and the heap block
+// freed after it stands for a torn-down system's objects: an arena that
+// came from calloc would now be carved from that untouched heap memory and
+// zeroed eagerly, growing RSS by its full 24 MiB.
+TEST(ByteArenaTest, SecondArenaStaysLazyAfterTheFirstIsFreed) {
+  constexpr std::size_t kArena = 24 * MiB;
+  {
+    ByteArena first(kArena);
+    first.data()[0] = std::byte{1};
+  }
+  ::operator delete(::operator new(kArena));
+  const std::uint64_t before = resident_bytes();
+  ByteArena second(kArena);
+  const std::uint64_t grown = resident_bytes() - before;
+  EXPECT_LE(grown, 8 * MiB);
+  EXPECT_EQ(second.data()[kArena - 1], std::byte{0});
+}
+
 TEST(ByteArenaTest, EmptyArenaIsAnEmptyRange) {
   ByteArena arena(0);
   EXPECT_EQ(arena.size(), 0u);

@@ -28,6 +28,17 @@ std::vector<CandidateNode> candidates(std::size_t n, std::uint64_t free_each) {
   return out;
 }
 
+// The policy's pick, returning the chosen nodes by value.
+StatusOr<std::vector<net::NodeId>> pick(PlacementPolicy& policy,
+                                        std::span<const CandidateNode> pool,
+                                        std::size_t count, std::uint64_t size,
+                                        Rng& rng) {
+  std::vector<net::NodeId> out;
+  Status picked = policy.pick(pool, count, size, rng, out);
+  if (!picked.ok()) return picked;
+  return out;
+}
+
 class PlacementPolicyTest
     : public ::testing::TestWithParam<PlacementPolicyKind> {};
 
@@ -36,7 +47,7 @@ TEST_P(PlacementPolicyTest, PicksDistinctNodes) {
   Rng rng(1);
   auto pool = candidates(8, 1 * MiB);
   for (int round = 0; round < 100; ++round) {
-    auto picked = policy->pick(pool, 3, 4096, rng);
+    auto picked = pick(*policy, pool, 3, 4096, rng);
     ASSERT_TRUE(picked.ok());
     ASSERT_EQ(picked->size(), 3u);
     std::set<net::NodeId> unique(picked->begin(), picked->end());
@@ -50,7 +61,7 @@ TEST_P(PlacementPolicyTest, SkipsTooSmallCandidates) {
   std::vector<CandidateNode> pool{{0, 100}, {1, 1 * MiB}, {2, 1 * MiB},
                                   {3, 1 * MiB}};
   for (int round = 0; round < 50; ++round) {
-    auto picked = policy->pick(pool, 3, 4096, rng);
+    auto picked = pick(*policy, pool, 3, 4096, rng);
     ASSERT_TRUE(picked.ok());
     for (net::NodeId n : *picked) EXPECT_NE(n, 0u);
   }
@@ -60,7 +71,7 @@ TEST_P(PlacementPolicyTest, FailsWhenNotEnoughEligible) {
   auto policy = make_placement_policy(GetParam());
   Rng rng(3);
   auto pool = candidates(2, 1 * MiB);
-  EXPECT_EQ(policy->pick(pool, 3, 4096, rng).status().code(),
+  EXPECT_EQ(pick(*policy, pool, 3, 4096, rng).status().code(),
             StatusCode::kResourceExhausted);
 }
 
@@ -84,7 +95,7 @@ TEST(PlacementTest, RoundRobinCyclesEvenly) {
   auto pool = candidates(6, 1 * MiB);
   std::map<net::NodeId, int> counts;
   for (int round = 0; round < 60; ++round) {
-    auto picked = policy->pick(pool, 1, 4096, rng);
+    auto picked = pick(*policy, pool, 1, 4096, rng);
     ASSERT_TRUE(picked.ok());
     ++counts[picked->front()];
   }
@@ -100,7 +111,7 @@ TEST(PlacementTest, PowerOfTwoBalancesLoad) {
     std::vector<CandidateNode> pool = candidates(16, 10 * MiB);
     std::vector<std::uint64_t> load(16, 0);
     for (int i = 0; i < 2000; ++i) {
-      auto picked = policy->pick(pool, 1, 4096, rng);
+      auto picked = pick(*policy, pool, 1, 4096, rng);
       if (!picked.ok()) break;
       const auto n = picked->front();
       load[n] += 4096;
@@ -119,7 +130,7 @@ TEST(PlacementTest, WeightedRrFavorsFreeNodes) {
   std::vector<CandidateNode> pool{{0, 9 * MiB}, {1, 1 * MiB}};
   int node0 = 0;
   for (int i = 0; i < 1000; ++i) {
-    auto picked = policy->pick(pool, 1, 4096, rng);
+    auto picked = pick(*policy, pool, 1, 4096, rng);
     ASSERT_TRUE(picked.ok());
     if (picked->front() == 0) ++node0;
   }
@@ -181,8 +192,8 @@ TEST(LoadAwareTest, ZeroPressureReproducesPowerOfTwo) {
   for (std::size_t i = 0; i < 16; ++i)
     pool.push_back({static_cast<net::NodeId>(i), (i + 1) * MiB, 0});
   for (int round = 0; round < 200; ++round) {
-    auto a = load_aware->pick(pool, 3, 4096, rng_a);
-    auto b = p2c->pick(pool, 3, 4096, rng_b);
+    auto a = pick(*load_aware, pool, 3, 4096, rng_a);
+    auto b = pick(*p2c, pool, 3, 4096, rng_b);
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
     EXPECT_EQ(*a, *b);
@@ -202,8 +213,8 @@ TEST(LoadAwareTest, PressureFlipsTheDuel) {
   for (int round = 0; round < 50; ++round) {
     Rng rng_a(round);
     Rng rng_b(round);
-    auto a = load_aware->pick(pool, 1, 4096, rng_a);
-    auto b = p2c->pick(pool, 1, 4096, rng_b);
+    auto a = pick(*load_aware, pool, 1, 4096, rng_a);
+    auto b = pick(*p2c, pool, 1, 4096, rng_b);
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
     EXPECT_EQ(a->front(), 1u);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <list>
 #include <map>
 #include <vector>
 
@@ -231,6 +232,45 @@ TEST(LruTest, ManyKeysOrderPreserved) {
   LruTracker<int> lru;
   for (int i = 0; i < 100; ++i) lru.touch(i);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(lru.evict_lru(), std::optional<int>(i));
+}
+
+// Random touch / evict / erase / clear sequences against a plain list
+// model: recycled list nodes and index handles must never change which key
+// is evicted or what the tracker holds.
+TEST(LruTest, RecyclingMatchesPlainListModel) {
+  LruTracker<int> lru;
+  std::list<int> model;  // front = LRU
+  Rng rng(42);
+  for (int step = 0; step < 20000; ++step) {
+    const int key = static_cast<int>(rng.next_below(64));
+    const std::uint64_t action = rng.next_below(100);
+    if (action < 60) {
+      lru.touch(key);
+      model.remove(key);
+      model.push_back(key);
+    } else if (action < 80) {
+      std::optional<int> expect;
+      if (!model.empty()) {
+        expect = model.front();
+        model.pop_front();
+      }
+      ASSERT_EQ(lru.evict_lru(), expect) << "step " << step;
+    } else if (action < 99) {
+      const bool present =
+          std::find(model.begin(), model.end(), key) != model.end();
+      model.remove(key);
+      ASSERT_EQ(lru.erase(key), present) << "step " << step;
+    } else {
+      lru.clear();
+      model.clear();
+    }
+    ASSERT_EQ(lru.size(), model.size());
+    ASSERT_EQ(lru.peek_lru(), model.empty() ? std::nullopt
+                                            : std::optional<int>(model.front()));
+    ASSERT_EQ(lru.contains(key),
+              std::find(model.begin(), model.end(), key) != model.end());
+  }
+  EXPECT_TRUE(std::equal(lru.begin(), lru.end(), model.begin(), model.end()));
 }
 
 // ---- units --------------------------------------------------------------------

@@ -67,7 +67,7 @@ TEST(DmSystemTest, RemotePutIsReplicatedOnDistinctNodes) {
   const auto data = page_data(2);
   ASSERT_TRUE(client.put_sync(2, data).ok());
   auto loc = client.map().lookup(2);
-  ASSERT_TRUE(loc.ok());
+  ASSERT_NE(loc, nullptr);
   EXPECT_EQ(loc->tier, mem::Tier::kRemote);
   ASSERT_EQ(loc->replicas.size(), 3u);
   std::set<net::NodeId> nodes;
@@ -92,7 +92,7 @@ TEST(DmSystemTest, RemoteGetFailsOverWhenReplicaDies) {
   const auto data = page_data(3);
   ASSERT_TRUE(client.put_sync(3, data).ok());
   auto loc = client.map().lookup(3);
-  ASSERT_TRUE(loc.ok());
+  ASSERT_NE(loc, nullptr);
 
   // Kill the first replica host; the read must fail over.
   const net::NodeId dead = loc->replicas.front().node;
@@ -112,7 +112,7 @@ TEST(DmSystemTest, TwoSidedReadFallbackReturnsSameBytes) {
   const auto data = page_data(11);
   ASSERT_TRUE(client.put_sync(11, data).ok());
   auto loc = client.map().lookup(11);
-  ASSERT_TRUE(loc.ok());
+  ASSERT_NE(loc, nullptr);
 
   // The control-channel (kRpcReadBlock) path must return the same bytes
   // the one-sided RDMA READ would.
@@ -135,7 +135,7 @@ TEST(DmSystemTest, TwoSidedReadFailsOverAndServesSubRange) {
   const auto data = page_data(12);
   ASSERT_TRUE(client.put_sync(12, data).ok());
   auto loc = client.map().lookup(12);
-  ASSERT_TRUE(loc.ok());
+  ASSERT_NE(loc, nullptr);
   ASSERT_EQ(loc->replicas.size(), 3u);
 
   // Kill the first replica host: the two-sided read fails over, and a
@@ -168,7 +168,7 @@ TEST(DmSystemTest, RepairRestoresReplicationFactor) {
   system.run_for(10 * kSecond);
 
   auto loc = client.map().lookup(4);
-  ASSERT_TRUE(loc.ok());
+  ASSERT_NE(loc, nullptr);
   EXPECT_EQ(loc->replicas.size(), 3u);
   for (const auto& r : loc->replicas) EXPECT_NE(r.node, dead);
   EXPECT_GE(system.service(0).metrics().counter_value(

@@ -311,7 +311,7 @@ TEST(EcSystemTest, PutStripesAcrossDistinctNodesAndReadsBack) {
   const auto data = page_data(1);
   ASSERT_TRUE(client.put_sync(1, data).ok());
   auto loc = client.map().lookup(1);
-  ASSERT_TRUE(loc.ok());
+  ASSERT_NE(loc, nullptr);
   EXPECT_EQ(loc->tier, mem::Tier::kRemote);
   EXPECT_EQ(loc->ec_k, 4);
   EXPECT_EQ(loc->ec_r, 2);
@@ -348,7 +348,7 @@ TEST(EcSystemTest, DegradedReadReconstructsAfterShardHostCrashes) {
   const auto data = page_data(2);
   ASSERT_TRUE(client.put_sync(2, data).ok());
   auto loc = client.map().lookup(2);
-  ASSERT_TRUE(loc.ok());
+  ASSERT_NE(loc, nullptr);
 
   // Crash the hosts of two *data* shards (worst case for the fast path).
   std::vector<net::NodeId> victims;
@@ -376,7 +376,7 @@ TEST(EcSystemTest, DegradedReadReconstructsAroundPartition) {
   const auto data = page_data(3);
   ASSERT_TRUE(client.put_sync(3, data).ok());
   auto loc = client.map().lookup(3);
-  ASSERT_TRUE(loc.ok());
+  ASSERT_NE(loc, nullptr);
   const net::NodeId self = system.node(0).id();
   net::NodeId shard0_host = net::kInvalidNode;
   for (const auto& replica : loc->replicas)
@@ -428,7 +428,7 @@ TEST(EcSystemTest, RepairScanReencodesLostShards) {
   const auto data = page_data(5);
   ASSERT_TRUE(client.put_sync(5, data).ok());
   auto loc = client.map().lookup(5);
-  ASSERT_TRUE(loc.ok());
+  ASSERT_NE(loc, nullptr);
   const net::NodeId victim = loc->replicas.front().node;
   const std::uint32_t lost_shard = loc->replicas.front().shard;
   for (std::size_t i = 0; i < system.node_count(); ++i)
@@ -438,7 +438,7 @@ TEST(EcSystemTest, RepairScanReencodesLostShards) {
   system.run_for(15 * kSecond);
 
   loc = client.map().lookup(5);
-  ASSERT_TRUE(loc.ok());
+  ASSERT_NE(loc, nullptr);
   EXPECT_EQ(loc->replicas.size(), 6u);
   EXPECT_FALSE(loc->degraded);
   std::set<std::uint32_t> shards;
@@ -471,7 +471,7 @@ TEST(EcSystemTest, ShortPlacementDegradesToMinShards) {
 
   ASSERT_TRUE(client.put_sync(6, page_data(6)).ok());
   auto loc = client.map().lookup(6);
-  ASSERT_TRUE(loc.ok());
+  ASSERT_NE(loc, nullptr);
   ASSERT_EQ(loc->tier, mem::Tier::kRemote);
   EXPECT_EQ(loc->replicas.size(), 3u);
   EXPECT_TRUE(loc->degraded);
@@ -489,7 +489,7 @@ TEST(EcSystemTest, ShortPlacementDegradesToMinShards) {
   system.repair(0).scan_tick([&]() { scanned = true; });
   ASSERT_TRUE(system.simulator().run_until_flag(scanned));
   loc = client.map().lookup(6);
-  ASSERT_TRUE(loc.ok());
+  ASSERT_NE(loc, nullptr);
   EXPECT_EQ(loc->replicas.size(), 4u);
   EXPECT_FALSE(loc->degraded);
 }

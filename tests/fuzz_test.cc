@@ -247,7 +247,7 @@ TEST(SystemPropertyFuzz, LiveKeysReadableAndReplicasBounded) {
       auto it = shadow.begin();
       std::advance(it, op_rng.next_below(shadow.size()));
       auto loc = client.map().lookup(it->first);
-      if (loc.ok() && loc->tier != mem::Tier::kRemote &&
+      if (loc != nullptr && loc->tier != mem::Tier::kRemote &&
           client.remove_sync(it->first).ok())
         shadow.erase(it);
     }
@@ -338,7 +338,7 @@ TEST(SystemPropertyFuzz, EcStripesBoundedAndKeysReadable) {
       auto it = shadow.begin();
       std::advance(it, op_rng.next_below(shadow.size()));
       auto loc = client.map().lookup(it->first);
-      if (loc.ok() && loc->tier != mem::Tier::kRemote &&
+      if (loc != nullptr && loc->tier != mem::Tier::kRemote &&
           client.remove_sync(it->first).ok())
         shadow.erase(it);
     }

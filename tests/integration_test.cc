@@ -171,7 +171,7 @@ TEST(IntegrationTest, DynamicRegroupingRescuesStarvedGroup) {
   std::vector<std::byte> data(4096, std::byte{3});
   ASSERT_TRUE(client.put_sync(1, data).ok());
   auto loc = client.map().lookup(1);
-  ASSERT_TRUE(loc.ok());
+  ASSERT_NE(loc, nullptr);
   EXPECT_EQ(loc->replicas.front().node, *moved);
 }
 

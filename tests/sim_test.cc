@@ -203,6 +203,86 @@ TEST(SimulatorTest, NestedStepKeepsTheRunningCallbackIntact) {
 
 // ---- latency model -----------------------------------------------------------
 
+// ---- InlineCallback: the event and completion callable ---------------------
+
+// Counts live instances, so a test can see every copy, move and destruction
+// of a captured object.
+struct Tracked {
+  explicit Tracked(int* counter) : alive(counter) { ++*alive; }
+  Tracked(Tracked&& other) noexcept : alive(other.alive) { ++*alive; }
+  Tracked(const Tracked&) = delete;
+  ~Tracked() { --*alive; }
+  int* alive;
+};
+
+TEST(InlineCallbackTest, SmallClosuresStoreInlineLargeOnesOnTheHeap) {
+  using Op = OpCallback<int(int)>;
+  struct Small {
+    std::array<std::byte, kOpInlineBytes> pad{};
+    int operator()(int x) const { return x + 1; }
+  };
+  struct Large {
+    std::array<std::byte, kOpInlineBytes + 8> pad{};
+    int operator()(int x) const { return x + 2; }
+  };
+  static_assert(Op::stores_inline<Small>());
+  static_assert(!Op::stores_inline<Large>());
+  // An event that carries a completion to delivery stays inline.
+  struct Delivery {
+    OpCallback<void(int)> done;
+    std::array<std::byte, kEventCaptureBytes> state{};
+    void operator()() const { done(1); }
+  };
+  static_assert(EventCallback::stores_inline<Delivery>());
+  Op small = Small{};
+  Op large = Large{};
+  EXPECT_EQ(small(1), 2);
+  EXPECT_EQ(large(1), 3);
+  Op moved = std::move(large);
+  EXPECT_FALSE(large);  // NOLINT: checking the moved-from state
+  EXPECT_EQ(moved(5), 7);
+}
+
+TEST(InlineCallbackTest, MoveOnlyCapturesAndArgumentsPassThrough) {
+  auto owned = std::make_unique<int>(40);
+  OpCallback<int(std::unique_ptr<int>)> add =
+      [owned = std::move(owned)](std::unique_ptr<int> extra) {
+        return *owned + *extra;
+      };
+  OpCallback<int(std::unique_ptr<int>)> moved = std::move(add);
+  EXPECT_FALSE(add);  // NOLINT: checking the moved-from state
+  EXPECT_EQ(moved(std::make_unique<int>(2)), 42);
+}
+
+TEST(InlineCallbackTest, DestroysItsClosureExactlyOnce) {
+  int alive = 0;
+  {
+    struct Padded {
+      Tracked tracked;
+      std::array<std::byte, kOpInlineBytes> pad{};
+    };
+    OpCallback<void()> inline_cb = [t = Tracked(&alive)] {};
+    OpCallback<void()> heap_cb = [p = Padded{Tracked(&alive)}] {};
+    EXPECT_EQ(alive, 2);
+    OpCallback<void()> a = std::move(inline_cb);
+    OpCallback<void()> b = std::move(heap_cb);
+    EXPECT_EQ(alive, 2);  // relocation leaves one live capture each
+    a = std::move(b);     // destroys a's capture, takes b's
+    EXPECT_EQ(alive, 1);
+    a();
+    EXPECT_EQ(alive, 1);  // running does not destroy
+    a.reset();
+    EXPECT_EQ(alive, 0);
+    a.reset();  // idempotent
+  }
+  EXPECT_EQ(alive, 0);  // moved-from and reset callbacks destroy nothing
+  {
+    OpCallback<void()> cb = [t = Tracked(&alive)] {};
+    EXPECT_EQ(alive, 1);
+  }
+  EXPECT_EQ(alive, 0);
+}
+
 TEST(LatencyModelTest, CostScalesWithBytes) {
   CostModel rdma{1500, 6.0};
   const SimTime small = rdma.cost(64);

@@ -804,14 +804,17 @@ void collect_metric_contract(const SourceFile& file, const FileAnalysis& fa,
     collect_script_tokens(file, state);
     return;
   }
-  for (const CallLits& call : find_calls(file, "counter", false)) {
-    for (const StringLit* lit : call.lits) {
-      add_emission(file, lit->line, lit->text, "counter", state, report);
-    }
-  }
-  for (const CallLits& call : find_calls(file, "histogram", false)) {
-    for (const StringLit* lit : call.lits) {
-      add_emission(file, lit->line, lit->text, "histogram", state, report);
+  // Direct lookups, and the lazily resolved handles (LazyCounter /
+  // LazyHistogram) that name their metric at construction.
+  for (const char* kind : {"counter", "histogram"}) {
+    const std::string handle =
+        std::string(kind[0] == 'c' ? "LazyCounter" : "LazyHistogram");
+    for (const std::string& call_name : {std::string(kind), handle}) {
+      for (const CallLits& call : find_calls(file, call_name, false)) {
+        for (const StringLit* lit : call.lits) {
+          add_emission(file, lit->line, lit->text, kind, state, report);
+        }
+      }
     }
   }
   // Spans: the last two literals are (subsystem, name); with only the
@@ -890,6 +893,14 @@ bool resolves(const MetricContract& state, const std::string& name,
         return true;
       }
       if (c + "." == pfx) return true;  // read of the family name itself
+    }
+    // A family name whose members are emitted by their full names.
+    const std::string family = c + ".";
+    for (auto member = state.names.lower_bound(family);
+         member != state.names.end() && member->first.rfind(family, 0) == 0;
+         ++member) {
+      if (std::any_of(member->second.begin(), member->second.end(), visible))
+        return true;
     }
   }
   return false;
