@@ -173,7 +173,7 @@ TEST(CoverageTest, SpillOrphanEntriesAreDroppedDefensively) {
   auto& client = system.create_server(0, 64 * MiB);
   ASSERT_TRUE(client.put_sync(1, page_data(1)).ok());
   // Corrupt the invariant deliberately: pool entry without a map entry.
-  ASSERT_TRUE(client.map().remove(1).ok());
+  ASSERT_TRUE(client.map().take(1).has_value());
   // Force pool pressure so the orphan becomes the spill victim.
   auto& shm = system.node(0).shm();
   ASSERT_TRUE(shm.contains(client.server(), 1));
